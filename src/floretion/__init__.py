@@ -7,13 +7,11 @@ coefficients.
 
 from .algebra import (
     Element,
-    FloatElement,
     element_from_json,
     element_to_json,
     exp_truncated,
     format_element,
     sierpinski_support,
-    square_via_pairs,
 )
 from .centralizer import (
     CentralizerTiles,

@@ -4,8 +4,8 @@ digitwise conjugation / parity structure.
 An Element of order n is a finite map from length-n words to exact
 rationals.  Multiplication extends the signed word product bilinearly.
 Coefficients are `fractions.Fraction` throughout so that the recurrence and
-cancellation identities the package tests can be checked exactly; floats
-appear only in `FloatElement`, which backs the truncated exponential.
+cancellation identities the package tests can be checked exactly; this
+includes the truncated exponential, whose partial sums are exact too.
 
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
@@ -28,8 +28,6 @@ from .words import (
     parse_word,
     word_mul,
 )
-
-Rational = Fraction
 
 
 def _check_order(n: int) -> int:
@@ -101,17 +99,10 @@ class Element:
     __hash__ = None  # mutable-looking mapping payload; not hashable
 
     def __repr__(self) -> str:
-        return f"Element({self.order}, {{{', '.join(f'{w!r}: {str(q)!r}' for w, q in sorted(self.terms.items(), key=lambda t: pack_word(t[0])))}}})"
+        return f"Element({self.order}, {{{', '.join(f'{w!r}: {str(self.terms[w])!r}' for w in self.support())}}})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in self.support():
-            q = self.terms[w]
-            lead = "- " if q < 0 else ("+ " if parts else "")
-            parts.append(f"{lead}{abs(q)}*{w}")
-        return " ".join(parts)
+        return format_element(self)
 
     # -- linear structure ----------------------------------------------------
 
@@ -212,31 +203,6 @@ class Element:
         return Element(self.order, out)
 
 
-def square_via_pairs(x: Element) -> Element:
-    """Square of an element by the commuting-pair shortcut.
-
-    Splits x**2 into diagonal squares plus mixed terms c*d + d*c; since c*d
-    and d*c share their unsigned word, each mixed pair either cancels (signs
-    differ) or contributes twice the one product.  Cross-checked against the
-    plain product in the tests.
-    """
-    words = x.support()
-    out: dict[str, Fraction] = {}
-    for i, c in enumerate(words):
-        qc = x.terms[c]
-        s, sq = word_mul(c, c)
-        acc = out.get(sq, Fraction(0)) + (qc * qc if s > 0 else -qc * qc)
-        out[sq] = acc
-        for d in words[i + 1 :]:
-            s1, pw = word_mul(c, d)
-            s2, _ = word_mul(d, c)
-            if s1 != s2:
-                continue
-            q = 2 * qc * x.terms[d]
-            out[pw] = out.get(pw, Fraction(0)) + (q if s1 > 0 else -q)
-    return Element(x.order, out)
-
-
 def sierpinski_support(n: int) -> Element:
     """Sum of all corner-only words {1,2,4}**n, each with coefficient 1.
 
@@ -252,21 +218,20 @@ def sierpinski_support(n: int) -> Element:
 
 def element_to_dict(x: Element) -> dict:
     """Canonical JSON-ready form: terms sorted by packed word value."""
-    terms = [
-        {"word": w, "coeff": str(x.terms[w])}
-        for w in sorted(x.terms, key=pack_word)
-    ]
+    terms = [{"word": w, "coeff": str(x.terms[w])} for w in x.support()]
     return {"order": x.order, "terms": terms}
 
 
 def element_from_dict(data) -> Element:
     if not isinstance(data, dict) or "order" not in data or "terms" not in data:
         raise ValueError('element JSON must have "order" and "terms"')
-    order = data["order"]
-    if not isinstance(order, int):
+    order, entries = data["order"], data["terms"]
+    if not isinstance(order, int) or isinstance(order, bool):
         raise ValueError(f'"order" must be an integer, got {order!r}')
+    if not isinstance(entries, list):
+        raise ValueError(f'"terms" must be a list, got {type(entries).__name__}')
     terms: dict[str, Fraction] = {}
-    for entry in data["terms"]:
+    for entry in entries:
         if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
             raise ValueError(f'term entries need "word" and "coeff": {entry!r}')
         w = parse_word(str(entry["word"]), order)
@@ -292,79 +257,7 @@ def element_from_json(text: str) -> Element:
     return element_from_dict(data)
 
 
-# -- float coefficients / exponential -----------------------------------------
-
-
-class FloatElement:
-    """Float-coefficient counterpart of Element, for the exponential series."""
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: Mapping[str, float] | None = None):
-        _check_order(order)
-        clean: dict[str, float] = {}
-        if terms:
-            for word, coeff in terms.items():
-                q = float(coeff)
-                if q == 0.0:
-                    continue
-                w = parse_word(word, order)
-                clean[w] = clean.get(w, 0.0) + q
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatElement is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "FloatElement":
-        return cls(order, {identity_word(order): 1.0})
-
-    @classmethod
-    def from_exact(cls, x: Element) -> "FloatElement":
-        return cls(x.order, {w: float(q) for w, q in x.terms.items()})
-
-    def coeff(self, word: str) -> float:
-        return self.terms.get(parse_word(word, self.order), 0.0)
-
-    def __add__(self, other: "FloatElement") -> "FloatElement":
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        out = dict(self.terms)
-        for w, q in other.terms.items():
-            out[w] = out.get(w, 0.0) + q
-        return FloatElement(self.order, out)
-
-    def scaled(self, c: float) -> "FloatElement":
-        return FloatElement(self.order, {w: c * q for w, q in self.terms.items()})
-
-    def __mul__(self, other: "FloatElement") -> "FloatElement":
-        if not isinstance(other, FloatElement):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        out: dict[str, float] = {}
-        for bw, q in self.terms.items():
-            for cw, r in other.terms.items():
-                s, pw = word_mul(bw, cw)
-                out[pw] = out.get(pw, 0.0) + s * q * r
-        return FloatElement(self.order, out)
-
-    def map_basis(self, word_map: Callable[[str], str]) -> "FloatElement":
-        out: dict[str, float] = {}
-        for w, q in self.terms.items():
-            nw = word_map(w)
-            out[nw] = out.get(nw, 0.0) + q
-        return FloatElement(self.order, out)
-
-    def max_coeff_delta(self, other: "FloatElement") -> float:
-        """Largest absolute coefficient difference across both supports."""
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.terms.get(w, 0.0) - other.terms.get(w, 0.0)) for w in keys), default=0.0)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{w!r}: {q}" for w, q in sorted(self.terms.items(), key=lambda t: pack_word(t[0])))
-        return f"FloatElement({self.order}, {{{body}}})"
+# -- exponential ----------------------------------------------------------------
 
 
 #: Series length giving well-past-double-precision convergence for the
@@ -372,16 +265,13 @@ class FloatElement:
 DEFAULT_EXP_TERMS = 20
 
 
-def exp_truncated(x: Element | FloatElement, terms: int = DEFAULT_EXP_TERMS) -> FloatElement:
-    """Truncated exponential series: sum of x**m / m! for m < terms."""
+def exp_truncated(x: Element, terms: int = DEFAULT_EXP_TERMS) -> Element:
+    """Truncated exponential series: the exact sum of x**m / m! for m < terms."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if isinstance(x, Element):
-        x = FloatElement.from_exact(x)
-    acc = FloatElement.one(x.order)
-    term = acc
+    acc = term = Element.one(x.order)
     for m in range(1, terms):
-        term = (term * x).scaled(1.0 / m)
+        term = (term * x).scaled(Fraction(1, m))
         acc = acc + term
     return acc
 

@@ -82,6 +82,8 @@ def _scan_chunk(pb: int, n: int, start: int, stop: int) -> tuple[np.ndarray, np.
 def _scan_masks(word: str, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     n = len(word)
     _check_scan_order(n)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     pb = pack_word(word)
     total = 4**n
     spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]

@@ -29,6 +29,7 @@ from .sequences import (
 )
 from .symmetry import (
     apply_perm_element,
+    apply_perm_word,
     axis_words,
     cyclic_orbit_points,
     is_axis_symmetric,
@@ -113,8 +114,7 @@ def _cmd_split(args) -> int:
 def _cmd_symmetry_apply(args) -> int:
     pi = parse_perm(args.perm)
     if args.word is not None:
-        w = parse_word(args.word)
-        print(format_word("".join(pi(d) for d in w), args.letters))
+        print(format_word(apply_perm_word(pi, parse_word(args.word)), args.letters))
     elif args.element is not None:
         print(element_to_json(apply_perm_element(pi, _load_element(args.element))))
     else:
@@ -159,22 +159,14 @@ def _cmd_render(args) -> int:
 def _cmd_centralizer(args) -> int:
     w = parse_word(args.word)
     if args.count_only and args.svg is None:
-        n_plus, n_minus = centralizer_counts(w, args.threads)
-        print(f"plus {n_plus}")
-        print(f"minus {n_minus}")
-        print(f"total {n_plus + n_minus}")
-        return 0
-    t = centralizer_tiles(w, args.threads)
-    if args.count_only:
-        print(f"plus {len(t.plus)}")
-        print(f"minus {len(t.minus)}")
-        print(f"total {t.total}")
+        counts, parts = centralizer_counts(w, args.threads), ((), ())
     else:
-        plus = sorted(format_word(c, args.letters) for c in t.plus)
-        minus = sorted(format_word(c, args.letters) for c in t.minus)
-        print(f"plus {len(plus)}: {' '.join(plus)}")
-        print(f"minus {len(minus)}: {' '.join(minus)}")
-        print(f"total {t.total}")
+        t = centralizer_tiles(w, args.threads)
+        counts, parts = (len(t.plus), len(t.minus)), (t.plus, t.minus)
+    for label, count, part in zip(("plus", "minus"), counts, parts):
+        listing = "" if args.count_only else ": " + " ".join(sorted(format_word(c, args.letters) for c in part))
+        print(f"{label} {count}{listing}")
+    print(f"total {sum(counts)}")
     if args.svg is not None:
         extra = {c: "highlight-plus" for c in t.plus}
         extra.update({c: "highlight-minus" for c in t.minus})
@@ -237,6 +229,8 @@ def _cmd_bench(args) -> int:
 
     n = args.order
     iters = args.iterations
+    if iters < 1:
+        raise ValueError(f"iterations must be >= 1, got {iters}")
     full, _ = lane_masks(n)
     rng = random.Random(args.rng_seed)
     xs = [rng.randint(0, full) for _ in range(iters)]
@@ -301,8 +295,16 @@ def _cmd_bench(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error:` line and exit code 2, like every other
+    error; subparsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="floretion",
         description="Word algebra over the digits 1, 2, 4, 7 (quaternionic letters i, j, k, e): "
         "products, triangle-tiling geometry, symmetry actions, centralizer tiles and "

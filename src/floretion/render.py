@@ -50,8 +50,8 @@ def render_tiling(
     """
     if not 1 <= n <= RENDER_MAX_DEPTH:
         raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
-    if r0 <= 0:
-        raise ValueError(f"circumradius must be positive, got {r0}")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"circumradius must be positive and finite, got {r0}")
     extra = dict(extra_classes or {})
 
     half_width = r0 * math.sqrt(3.0) / 2.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import Element, FloatElement
+from .algebra import Element
 from .geometry import Vec2, centroid
 from .words import parse_word
 
@@ -128,7 +128,7 @@ def apply_perm_word(pi: Perm, word: str) -> str:
     return "".join(pi(d) for d in word)
 
 
-def apply_perm_element(pi: Perm, x: Element | FloatElement):
+def apply_perm_element(pi: Perm, x: Element) -> Element:
     """Linear extension of the digitwise action to an element."""
     return x.map_basis(lambda w: apply_perm_word(pi, w))
 

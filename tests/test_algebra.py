@@ -9,13 +9,11 @@ import pytest
 
 from floretion.algebra import (
     Element,
-    FloatElement,
     element_from_json,
     element_to_json,
     exp_truncated,
     format_element,
     sierpinski_support,
-    square_via_pairs,
 )
 from helpers import random_element, random_fraction
 
@@ -153,13 +151,6 @@ def test_parity_of_powers():
             assert q.even_part == q
 
 
-def test_square_via_pairs_matches_product():
-    rng = random.Random(37)
-    for _ in range(40):
-        x = random_element(rng, rng.randint(1, 3), max_terms=8)
-        assert square_via_pairs(x) == x * x
-
-
 def test_coeff():
     x = Element(2, {"12": 1, "44": 2})
     assert x.coeff("44") == 2
@@ -201,6 +192,10 @@ def test_json_errors():
         element_from_json('{"order": 2, "terms": [{"word": "12", "coeff": "x"}]}')
     with pytest.raises(ValueError):
         element_from_json('{"order": "2", "terms": []}')
+    with pytest.raises(ValueError):
+        element_from_json('{"order": 2, "terms": 5}')
+    with pytest.raises(ValueError):
+        element_from_json('{"order": true, "terms": []}')
 
 
 def test_format_element():
@@ -211,9 +206,7 @@ def test_format_element():
 
 
 def test_exp_zero_is_identity():
-    z = FloatElement(2, {})
-    e = exp_truncated(z, 12)
-    assert e.terms == {"77": 1.0}
+    assert exp_truncated(Element.zero(2), 12) == Element.one(2)
 
 
 def test_exp_scalar_case():
@@ -226,23 +219,15 @@ def test_exp_scalar_case():
 def test_exp_accepts_exact_elements():
     x = Element(1, {"1": F(1, 2)})
     e = exp_truncated(x, 25)
-    # sits in the span of e and i: cos(1/2) e + sin(1/2) i
+    # exact partial sums in the span of e and i: cos(1/2) e + sin(1/2) i
+    assert set(e.terms) == {"7", "1"} and all(isinstance(q, F) for q in e.terms.values())
     assert abs(e.coeff("7") - math.cos(0.5)) < 1e-12
     assert abs(e.coeff("1") - math.sin(0.5)) < 1e-12
 
 
 def test_exp_terms_validation():
     with pytest.raises(ValueError):
-        exp_truncated(FloatElement(1, {}), 0)
-
-
-def test_float_element_delta():
-    a = FloatElement(1, {"1": 1.0})
-    b = FloatElement(1, {"1": 1.5, "7": 0.25})
-    assert a.max_coeff_delta(b) == 0.5
-
-    a2 = FloatElement.from_exact(Element(1, {"1": F(1, 2)}))
-    assert a2.terms == {"1": 0.5}
+        exp_truncated(Element.zero(1), 0)
 
 
 def test_element_immutability():

@@ -110,6 +110,11 @@ def test_counts_match_tiles_and_threads():
         assert centralizer_counts(b, threads=2) == (len(t.plus), len(t.minus))
         t2 = centralizer_tiles(b, threads=3)
         assert t2 == t
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            centralizer_counts("11", threads)
+        with pytest.raises(ValueError):
+            centralizer_tiles("11", threads)
 
 
 def test_signed_centralizer_order():

@@ -1,11 +1,20 @@
 """End-to-end command-line behavior via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import floretion
 from floretion.algebra import Element, element_from_json, element_to_json
+
+# the child runs the same package the tests import, installed or not
+_SRC = str(Path(floretion.__file__).resolve().parent.parent)
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*args, stdin=None):
@@ -14,6 +23,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         input=stdin,
+        env=_ENV,
     )
 
 
@@ -40,6 +50,28 @@ def test_mul_errors():
     assert r.returncode != 0
     r = run_cli("mul", "12", "3x")
     assert r.returncode != 0
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["pow", "-", "-m", "2"], '{"order": 2, "terms": 5}'),
+        (["pow", "-", "-m", "2"], '{"order": true, "terms": []}'),
+        (["centroid", "71", "--d1", "nan"], None),
+        (["render", "1", "--r0", "nan"], None),
+        (["bench", "--iterations", "0", "--scan-order", "0"], None),
+        (["centralizer", "17", "--threads", "0"], None),
+        (["centralizer", "17", "--threads", "-3"], None),
+        (["bench", "--iterations", "x"], None),
+    ],
+    ids=["terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage"],
+)
+def test_malformed_input_is_one_line_error(args, stdin):
+    r = run_cli(*args, stdin=stdin)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
 
 
 def test_pow_coeff_split_roundtrip(tmp_path):

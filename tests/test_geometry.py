@@ -63,8 +63,11 @@ def test_centroid_after_a_seven_steps_backward():
 
 
 def test_centroid_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        centroid("12", 0.0)
+    for d1 in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            centroid("12", d1)
+        with pytest.raises(ValueError):
+            tile_polygon("12", d1)
 
 
 def test_no_cancellation():

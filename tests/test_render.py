@@ -1,5 +1,7 @@
 """SVG output: counts, classes, determinism."""
 
+import math
+
 import pytest
 
 from floretion.render import RENDER_MAX_DEPTH, render_tiling
@@ -57,5 +59,6 @@ def test_depth_validation():
         render_tiling(0)
     with pytest.raises(ValueError):
         render_tiling(RENDER_MAX_DEPTH + 1)
-    with pytest.raises(ValueError):
-        render_tiling(2, r0=-1.0)
+    for r0 in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            render_tiling(2, r0=r0)
