@@ -14,27 +14,25 @@ signed group.  When the word squares to the identity, the two component
 sums multiply to zero in both orders; `check_vanishing` tests that
 cancellation exactly.
 
-Enumeration is a flat scan over all 4**n packed words through the
-vectorized lane kernel, chunked to bound memory and mergeable across
-threads without changing the canonically ordered result.
+Both the product sign and commutation are products of per-digit factors,
+so counting and listing run one four-state transfer over positions: the
+state is the parity of anticommuting digit pairs so far and the sign so
+far.  Counts take O(n) integer sums at any order; listings grow the words
+one digit at a time, sized to the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Element
-from .packed import pack_word, packed_mul_many, unpack_word
-from .words import identity_word, noncentral_count, parse_word, word_mul
+from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_word, word_mul
 
-#: Exhaustive scans are capped here: 4**12 is ~16.7M words, a few seconds
-#: of vectorized work and the largest budget this package signs up for.
+#: Tile listings are capped here: an order-12 word has 8.4M tiles, a few
+#: seconds of work and the largest listing this package signs up for.
+#: Counts have no cap.
 SCAN_MAX_ORDER = 12
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,58 +60,52 @@ def commutes(b: str, c: str) -> bool:
     return word_mul(b, c).sign == word_mul(c, b).sign
 
 
-def _check_scan_order(n: int) -> None:
-    if n > SCAN_MAX_ORDER:
-        raise ValueError(
-            f"exhaustive scan supports order <= {SCAN_MAX_ORDER} (4**{SCAN_MAX_ORDER} words); got {n}"
-        )
+def _transitions(word: str) -> list[list[tuple[str, bool, int]]]:
+    """Per digit b of `word`, for d in code order: (d, d anticommutes with b, sign of d * b)."""
+    return [
+        [(d, local_mul(d, b)[0] != local_mul(b, d)[0], local_mul(d, b)[0]) for d in DIGITS]
+        for b in word
+    ]
 
 
-def _scan_chunk(pb: int, n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plus/minus membership masks for packed words in [start, stop)."""
-    cs = np.arange(start, stop, dtype=np.uint64)
-    pbs = np.uint64(pb)
-    sign_cb, _ = packed_mul_many(cs, pbs, n)
-    sign_bc, _ = packed_mul_many(pbs, cs, n)
-    commuting = sign_cb == sign_bc
-    return commuting & (sign_cb == 1), commuting & (sign_cb == -1)
-
-
-def _scan_masks(word: str, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    n = len(word)
-    _check_scan_order(n)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    pb = pack_word(word)
-    total = 4**n
-    spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sp: _scan_chunk(pb, n, *sp), spans))
-    else:
-        parts = [_scan_chunk(pb, n, *sp) for sp in spans]
-    plus = np.concatenate([p for p, _ in parts])
-    minus = np.concatenate([m for _, m in parts])
-    return plus, minus
-
-
-def centralizer_counts(word: str, threads: int = 1) -> tuple[int, int]:
+def centralizer_counts(word: str) -> tuple[int, int]:
     """(plus count, minus count) without materializing the word lists."""
-    w = parse_word(word)
-    plus, minus = _scan_masks(w, threads)
-    return int(plus.sum()), int(minus.sum())
+    counts = Counter({(False, 1): 1})
+    for step in _transitions(parse_word(word)):
+        nxt = Counter()
+        for (odd, sign), k in counts.items():
+            for _, anti, s in step:
+                nxt[odd ^ anti, sign * s] += k
+        counts = nxt
+    return counts[False, 1], counts[False, -1]
 
 
-def centralizer_tiles(word: str, threads: int = 1) -> CentralizerTiles:
+# Keep the name: perfbench/tracer.py wraps `_scan_masks` in every traced run.
+def _scan_masks(word: str) -> tuple[list[str], list[str]]:
+    """Plus and minus tile lists of a canonical word, in canonical order.
+
+    Digits go in code order outside the states, and position r is the most
+    significant lane so far, so every list stays in ascending packed order.
+    """
+    n = len(word)
+    if n > SCAN_MAX_ORDER:
+        raise ValueError(f"tile listing supports order <= {SCAN_MAX_ORDER}; got {n}")
+    words = {(False, 1): [""]}
+    for r, step in enumerate(_transitions(word), 1):
+        nxt = defaultdict(list)
+        for d, anti, s in step:
+            for (odd, sign), prefixes in words.items():
+                if r < n or odd == anti:
+                    nxt[odd ^ anti, sign * s].extend([p + d for p in prefixes])
+        words = nxt
+    return words[False, 1], words[False, -1]
+
+
+def centralizer_tiles(word: str) -> CentralizerTiles:
     """Full tile-set enumeration, split by the sign of the common product."""
     w = parse_word(word)
-    n = len(w)
-    plus, minus = _scan_masks(w, threads)
-    return CentralizerTiles(
-        base=w,
-        plus=tuple(unpack_word(int(v), n) for v in np.flatnonzero(plus)),
-        minus=tuple(unpack_word(int(v), n) for v in np.flatnonzero(minus)),
-    )
+    plus, minus = _scan_masks(w)
+    return CentralizerTiles(base=w, plus=tuple(plus), minus=tuple(minus))
 
 
 def signed_centralizer_order(word: str) -> int:
@@ -131,14 +123,11 @@ def signed_centralizer_order(word: str) -> int:
     return 2 * (n_plus + n_minus)
 
 
-def sigma_sums(word: str, threads: int = 1) -> tuple[Element, Element]:
+def sigma_sums(word: str) -> tuple[Element, Element]:
     """The two component sums as elements: (sum over plus, sum over minus)."""
-    t = centralizer_tiles(word, threads)
+    t = centralizer_tiles(word)
     n = len(t.base)
-    return (
-        Element(n, {w: 1 for w in t.plus}),
-        Element(n, {w: 1 for w in t.minus}),
-    )
+    return Element(n, dict.fromkeys(t.plus, 1)), Element(n, dict.fromkeys(t.minus, 1))
 
 
 def check_vanishing(word: str) -> bool:

@@ -9,14 +9,18 @@ one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
-from .centralizer import centralizer_counts, centralizer_tiles, check_vanishing
+from .centralizer import SCAN_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
 from .packed import lane_masks, pack_word, packed_mul, packed_mul_many, unpack_word
 from .render import render_tiling
@@ -42,6 +46,7 @@ from .words import (
     parse_signed_word,
     parse_word,
     signed_word_mul,
+    word_mul,
 )
 
 
@@ -159,18 +164,20 @@ def _cmd_render(args) -> int:
 def _cmd_centralizer(args) -> int:
     w = parse_word(args.word)
     if args.count_only and args.svg is None:
-        counts, parts = centralizer_counts(w, args.threads), ((), ())
+        counts, parts = centralizer_counts(w), ((), ())
     else:
-        t = centralizer_tiles(w, args.threads)
+        t = centralizer_tiles(w)
         counts, parts = (len(t.plus), len(t.minus)), (t.plus, t.minus)
+    if args.svg is not None:
+        extra = {c: "highlight-plus" for c in t.plus}
+        extra.update({c: "highlight-minus" for c in t.minus})
+        svg = render_tiling(len(w), args.r0, extra_classes=extra)
     for label, count, part in zip(("plus", "minus"), counts, parts):
         listing = "" if args.count_only else ": " + " ".join(sorted(format_word(c, args.letters) for c in part))
         print(f"{label} {count}{listing}")
     print(f"total {sum(counts)}")
     if args.svg is not None:
-        extra = {c: "highlight-plus" for c in t.plus}
-        extra.update({c: "highlight-minus" for c in t.minus})
-        _write_text(args.svg, render_tiling(len(w), args.r0, extra_classes=extra))
+        _write_text(args.svg, svg)
     return 0
 
 
@@ -179,15 +186,26 @@ def _cmd_vanishing(args) -> int:
     return 0
 
 
-def _parse_seed(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"seed must be three comma-separated rationals, got {text!r}")
+def rational(text: str) -> Fraction:
+    """Fraction(text); a zero denominator raises ValueError, which argparse reports in one line."""
     try:
-        a, b, c = (Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_seed(text: str) -> tuple[Fraction, Fraction, Fraction]:
+    try:
+        a, b, c = (rational(p.strip()) for p in text.split(","))
+    except ValueError:
         raise ValueError(f"seed must be three comma-separated rationals, got {text!r}") from None
     return a, b, c
+
+
+def _b_file_text(values: list[Fraction], offset: int) -> str:
+    out = io.StringIO()
+    write_b_file(out, values, offset)
+    return out.getvalue()
 
 
 def _cmd_seq(args) -> int:
@@ -202,43 +220,40 @@ def _cmd_seq(args) -> int:
         x = _load_element(args.element)
     stream = coeff_stream(x, args.word, args.mmax)
     scaled = [args.scale * q for q in stream]
+    rec = find_recurrence(stream, args.max_order) if args.recurrence else None
+    b_files = []
+    if args.bfile is not None:
+        b_files.append((args.bfile, _b_file_text(scaled, args.offset)))
+    if args.bfile_parts is not None:
+        num_path, den_path = args.bfile_parts
+        b_files.append((num_path, _b_file_text([Fraction(q.numerator) for q in scaled], args.offset)))
+        b_files.append((den_path, _b_file_text([Fraction(q.denominator) for q in scaled], args.offset)))
     if args.float:
         print(" ".join(f"{float(q):.12g}" for q in scaled))
     else:
         print(" ".join(str(q) for q in scaled))
     if args.recurrence:
-        rec = find_recurrence(stream, args.max_order)
-        if rec is None:
-            print(f"no recurrence of order <= {args.max_order}")
-        else:
-            print(rec)
-    if args.bfile is not None:
-        with open(args.bfile, "w", encoding="utf-8", newline="\n") as fh:
-            write_b_file(fh, scaled, args.offset)
-    if args.bfile_parts is not None:
-        num_path, den_path = args.bfile_parts
-        with open(num_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_b_file(fh, [Fraction(q.numerator) for q in scaled], args.offset)
-        with open(den_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_b_file(fh, [Fraction(q.denominator) for q in scaled], args.offset)
+        print(f"no recurrence of order <= {args.max_order}" if rec is None else rec)
+    for path, text in b_files:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    import random
-
     n = args.order
     iters = args.iterations
+    m = args.scan_order
     if iters < 1:
         raise ValueError(f"iterations must be >= 1, got {iters}")
+    if not 0 <= m <= SCAN_MAX_ORDER:
+        raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {m}")
     full, _ = lane_masks(n)
     rng = random.Random(args.rng_seed)
     xs = [rng.randint(0, full) for _ in range(iters)]
     ys = [rng.randint(0, full) for _ in range(iters)]
     xw = [unpack_word(v, n) for v in xs]
     yw = [unpack_word(v, n) for v in ys]
-
-    from .words import word_mul
 
     for i in range(min(1000, iters)):  # warmup
         word_mul(xw[i], yw[i])
@@ -251,8 +266,6 @@ def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
     fast = [packed_mul(a, b, n) for a, b in zip(xs, ys)]
     t_packed = time.perf_counter() - t0
-
-    import numpy as np
 
     ax = np.array(xs, dtype=np.uint64)
     ay = np.array(ys, dtype=np.uint64)
@@ -279,15 +292,13 @@ def _cmd_bench(args) -> int:
     if agree != iters:
         raise ValueError("kernel cross-check failed")
 
-    if args.scan_order:
-        m = args.scan_order
-        base = "1" + "7" * (m - 1)
+    if m:
         t0 = time.perf_counter()
-        n_plus, n_minus = centralizer_counts(base)
+        t = centralizer_tiles("1" + "7" * (m - 1))
         t_scan = time.perf_counter() - t0
         print(
-            f"centralizer scan order {m}: {4 ** m} words in {t_scan:.3f} s "
-            f"(plus {n_plus}, minus {n_minus})"
+            f"centralizer scan order {m}: {t.total} tiles listed in {t_scan:.3f} s "
+            f"(plus {len(t.plus)}, minus {len(t.minus)})"
         )
     return 0
 
@@ -373,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letters", action="store_true")
     p.add_argument("--svg", help="write an SVG with plus/minus tiles highlighted")
     p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1, help="shard the scan (same output)")
     p.set_defaults(func=_cmd_centralizer)
 
     p = sub.add_parser("vanishing", help="check the component-sum cancellation for a word squaring to the identity")
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", help="element JSON file, or - for stdin")
     p.add_argument("--word", required=True, help="basis word to track")
     p.add_argument("--mmax", type=int, required=True, help="number of powers")
-    p.add_argument("--scale", type=Fraction, default=Fraction(1), help="multiply printed terms")
+    p.add_argument("--scale", type=rational, default=Fraction(1), help="multiply printed terms")
     p.add_argument("--float", action="store_true")
     p.add_argument("--recurrence", action="store_true", help="detect a linear recurrence")
     p.add_argument("--max-order", type=int, default=4)
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure the packed kernel against the digitwise reference")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--iterations", type=int, default=200_000)
-    p.add_argument("--scan-order", type=int, default=10, help="also time a full centralizer scan (0 to skip)")
+    p.add_argument("--scan-order", type=int, default=10, help="also time a centralizer tile listing of this order (0 to skip)")
     p.add_argument("--rng-seed", type=int, default=20260808)
     p.set_defaults(func=_cmd_bench)
 

@@ -74,14 +74,19 @@ def test_tiles_of_identity():
         assert t.minus == ()
 
 
+def random_words(seed: int, orders, per_order: int) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choice("1247") for _ in range(n)) for n in orders for _ in range(per_order)]
+
+
 def test_tiles_match_brute_force():
-    # vectorized scan vs the direct digitwise oracle
-    for n in (1, 2):
-        for b in all_words(n):
-            plus, minus = brute_force_tiles(b)
-            t = centralizer_tiles(b)
-            assert list(t.plus) == plus
-            assert list(t.minus) == minus
+    # transfer over positions vs the direct digitwise oracle, canonical order included
+    words = [b for n in (1, 2, 3, 4) for b in all_words(n)] + random_words(63, (5, 6, 7), 3)
+    for b in words:
+        plus, minus = brute_force_tiles(b)
+        t = centralizer_tiles(b)
+        assert list(t.plus) == plus
+        assert list(t.minus) == minus
 
 
 def test_tiles_canonical_order_and_membership():
@@ -103,18 +108,11 @@ def test_one_half_law():
             assert t.total == 4**n // 2
 
 
-def test_counts_match_tiles_and_threads():
-    for b in ("11", "124", "1711"):
+def test_counts_match_tiles():
+    words = ["11", "124", "1711"] + random_words(64, range(1, 10), 2) + [identity_word(n) for n in (1, 5, 9)]
+    for b in words:
         t = centralizer_tiles(b)
         assert centralizer_counts(b) == (len(t.plus), len(t.minus))
-        assert centralizer_counts(b, threads=2) == (len(t.plus), len(t.minus))
-        t2 = centralizer_tiles(b, threads=3)
-        assert t2 == t
-    for threads in (0, -3):
-        with pytest.raises(ValueError):
-            centralizer_counts("11", threads)
-        with pytest.raises(ValueError):
-            centralizer_tiles("11", threads)
 
 
 def test_signed_centralizer_order():
@@ -131,8 +129,23 @@ def test_signed_centralizer_order():
 
 
 def test_scan_order_cap():
+    """Listings stop at SCAN_MAX_ORDER; counts answer at any order.
+
+    The identity word commutes with every word, all with sign +1.  For any
+    other word b, pick a position where b is not 7.  There the four digits
+    form two pairs, {b's digit, 7} commuting with b's digit and the other two
+    anticommuting, and swapping c's digit within its pair keeps commutation
+    and flips the product sign.  So plus and minus pair up, 4**(n-1) each.
+    """
     with pytest.raises(ValueError):
-        centralizer_counts("1" * (SCAN_MAX_ORDER + 1))
+        centralizer_tiles("1" * (SCAN_MAX_ORDER + 1))
+    for n in (SCAN_MAX_ORDER + 1, 32):
+        assert centralizer_counts(identity_word(n)) == (4**n, 0)
+        for b in random_words(n, (n,), 3) + ["1" + "7" * (n - 1), "7" * (n - 1) + "4"]:
+            if b != identity_word(n):
+                assert centralizer_counts(b) == (4 ** (n - 1), 4 ** (n - 1))
+    (b,) = random_words(65, (32,), 1)
+    assert signed_centralizer_order(b) == 4**32
 
 
 def test_sigma_sums_example():

@@ -17,13 +17,14 @@ _SRC = str(Path(floretion.__file__).resolve().parent.parent)
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "floretion", *args],
         capture_output=True,
         text=True,
         input=stdin,
         env=_ENV,
+        cwd=cwd,
     )
 
 
@@ -60,14 +61,24 @@ def test_mul_errors():
         (["centroid", "71", "--d1", "nan"], None),
         (["render", "1", "--r0", "nan"], None),
         (["bench", "--iterations", "0", "--scan-order", "0"], None),
+        # argparse rejects the unknown --threads flag
         (["centralizer", "17", "--threads", "0"], None),
         (["centralizer", "17", "--threads", "-3"], None),
         (["bench", "--iterations", "x"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "3", "--scale", "1/0"], None),
+        # the rejections below come after the first result is known; nothing may be printed
+        (["centralizer", "12", "--svg", "x.svg", "--r0", "nan"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "10", "--recurrence", "--max-order", "0"], None),
+        (["bench", "--scan-order", "13"], None),
+        (["bench", "--scan-order", "-1"], None),
     ],
-    ids=["terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage"],
+    ids=[
+        "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
+        "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
+    ],
 )
-def test_malformed_input_is_one_line_error(args, stdin):
-    r = run_cli(*args, stdin=stdin)
+def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
+    r = run_cli(*args, stdin=stdin, cwd=tmp_path)
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
@@ -162,6 +173,10 @@ def test_centralizer():
     r = run_cli("centralizer", "777", "--count-only")
     assert r.stdout.splitlines() == ["plus 64", "minus 0", "total 64"]
 
+    # counts have no order cap
+    r = run_cli("centralizer", "1" + "7" * 19, "--count-only")
+    assert r.stdout.splitlines() == ["plus 274877906944", "minus 274877906944", "total 549755813888"]
+
 
 def test_centralizer_svg(tmp_path):
     out = tmp_path / "c.svg"
@@ -213,6 +228,7 @@ def test_seq_bfile(tmp_path):
     r = run_cli("seq", "--preset", "fib", "--word", "ij", "--mmax", "4", "--bfile", str(out))
     assert r.returncode != 0
     assert "integer" in r.stderr
+    assert r.stdout == ""
 
 
 def test_seq_bfile_parts(tmp_path):
