@@ -24,16 +24,14 @@ from .centralizer import (
 )
 from .geometry import (
     Mat2,
-    TriTile,
     Vec2,
     centroid,
     dihedral_matrix,
     elementary_vector,
     is_upward,
     tile_polygon,
-    tiles,
 )
-from .packed import pack_word, packed_identity, packed_mul, packed_mul_many, unpack_word
+from .packed import pack_word, packed_identity, packed_mul_many, unpack_word
 from .render import render_tiling
 from .sequences import (
     Recurrence,

@@ -21,19 +21,13 @@ from typing import Callable, Mapping
 
 from .packed import pack_word
 from .words import (
-    MAX_ORDER,
+    check_order,
     format_word,
     identity_word,
     noncentral_count,
     parse_word,
     word_mul,
 )
-
-
-def _check_order(n: int) -> int:
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    return n
 
 
 class Element:
@@ -46,7 +40,7 @@ class Element:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Mapping[str, Fraction | int | str] | None = None):
-        _check_order(order)
+        check_order(order)
         clean: dict[str, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
@@ -72,11 +66,6 @@ class Element:
     def one(cls, order: int) -> "Element":
         """The multiplicative identity: 1 times the all-7 word."""
         return cls(order, {identity_word(order): 1})
-
-    @classmethod
-    def from_word(cls, word: str, coeff: Fraction | int | str = 1) -> "Element":
-        w = parse_word(word)
-        return cls(len(w), {w: coeff})
 
     # -- basics ------------------------------------------------------------
 
@@ -209,7 +198,7 @@ def sierpinski_support(n: int) -> Element:
     The support tiles form the order-n Sierpinski-type triangle; the element
     is fixed by every digitwise permutation of {1, 2, 4}.
     """
-    _check_order(n)
+    check_order(n)
     return Element(n, {"".join(t): 1 for t in product("124", repeat=n)})
 
 

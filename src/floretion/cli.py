@@ -22,7 +22,7 @@ from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
 from .centralizer import SCAN_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
-from .packed import lane_masks, pack_word, packed_mul, packed_mul_many, unpack_word
+from .packed import lane_masks, pack_word, packed_mul_many, unpack_word
 from .render import render_tiling
 from .sequences import (
     coeff_stream,
@@ -235,9 +235,12 @@ def _cmd_seq(args) -> int:
     if args.recurrence:
         print(f"no recurrence of order <= {args.max_order}" if rec is None else rec)
     for path, text in b_files:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(path, text)
     return 0
+
+
+#: Seed of the random word pairs `bench` multiplies, so runs time the same inputs.
+BENCH_SEED = 20260808
 
 
 def _cmd_bench(args) -> int:
@@ -249,7 +252,7 @@ def _cmd_bench(args) -> int:
     if not 0 <= m <= SCAN_MAX_ORDER:
         raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {m}")
     full, _ = lane_masks(n)
-    rng = random.Random(args.rng_seed)
+    rng = random.Random(BENCH_SEED)
     xs = [rng.randint(0, full) for _ in range(iters)]
     ys = [rng.randint(0, full) for _ in range(iters)]
     xw = [unpack_word(v, n) for v in xs]
@@ -257,15 +260,10 @@ def _cmd_bench(args) -> int:
 
     for i in range(min(1000, iters)):  # warmup
         word_mul(xw[i], yw[i])
-        packed_mul(xs[i], ys[i], n)
 
     t0 = time.perf_counter()
     ref = [word_mul(a, b) for a, b in zip(xw, yw)]
     t_word = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fast = [packed_mul(a, b, n) for a, b in zip(xs, ys)]
-    t_packed = time.perf_counter() - t0
 
     ax = np.array(xs, dtype=np.uint64)
     ay = np.array(ys, dtype=np.uint64)
@@ -278,15 +276,13 @@ def _cmd_bench(args) -> int:
 
     agree = sum(
         1
-        for (sw, ww), (sp, wp), sb, wb in zip(ref, fast, signs.tolist(), prods.tolist())
-        if sw == sp == sb and pack_word(ww) == wp == wb
+        for (sw, ww), sb, wb in zip(ref, signs.tolist(), prods.tolist())
+        if sw == sb and pack_word(ww) == wb
     )
     rate_word = iters / t_word
-    rate_packed = iters / t_packed
     rate_batch = iters / t_batch
     print(f"order {n}, {iters} random products per kernel")
     print(f"word_mul      {rate_word:12.0f} products/s")
-    print(f"packed_mul    {rate_packed:12.0f} products/s  ({rate_packed / rate_word:.1f}x word_mul)")
     print(f"packed batch  {rate_batch:12.0f} products/s  ({rate_batch / rate_word:.1f}x word_mul)")
     print(f"cross-check   {agree}/{iters} agree")
     if agree != iters:
@@ -414,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--iterations", type=int, default=200_000)
     p.add_argument("--scan-order", type=int, default=10, help="also time a centralizer tile listing of this order (0 to skip)")
-    p.add_argument("--rng-seed", type=int, default=20260808)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from .words import all_words, noncentral_count, parse_word
+from .words import noncentral_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .symmetry import Perm
@@ -115,35 +115,6 @@ def tile_polygon(word: str, r0: float = DEFAULT_R0) -> tuple[Vec2, Vec2, Vec2]:
     r = r0 / (2 ** len(word))
     flip = 1.0 if is_upward(word) else -1.0
     return tuple(c + UNIT_VECTOR[d].scaled(flip * r) for d in _VERTEX_ORDER)  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class TriTile:
-    """One tile of the subdivision: its word, centroid, orientation and size."""
-
-    word: str
-    centroid: Vec2
-    upward: bool
-    depth: int
-    circumradius_scale: float
-
-    @classmethod
-    def for_word(cls, word: str, r0: float = DEFAULT_R0) -> "TriTile":
-        w = parse_word(word)
-        return cls(w, centroid(w, r0 / 2.0), is_upward(w), len(w), r0)
-
-    @property
-    def circumradius(self) -> float:
-        return self.circumradius_scale / (2 ** self.depth)
-
-    def polygon(self) -> tuple[Vec2, Vec2, Vec2]:
-        return tile_polygon(self.word, self.circumradius_scale)
-
-
-def tiles(n: int, r0: float = DEFAULT_R0) -> Iterator[TriTile]:
-    """All 4**n depth-n tiles in canonical word order."""
-    for w in all_words(n):
-        yield TriTile.for_word(w, r0)
 
 
 @dataclass(frozen=True)

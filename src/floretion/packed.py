@@ -17,7 +17,8 @@ them preserves the parity of the full sum, since popcounts add mod 2 under
 XOR).  The kernel is locked against the digitwise reference by an exhaustive
 oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 
-`packed_mul_many` is the same kernel over numpy arrays, used for bulk scans.
+`packed_mul_many` is the kernel; it runs over numpy arrays, so one call
+multiplies a whole batch of word pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .words import CODE_DIGIT, DIGIT_CODE, MAX_ORDER
+from .words import CODE_DIGIT, DIGIT_CODE, check_order
 
 _LANE_WIDTH = 2
 
@@ -34,8 +35,7 @@ _LANE_WIDTH = 2
 @lru_cache(maxsize=None)
 def lane_masks(n: int) -> tuple[int, int]:
     """(full, low) masks for order n: all 2n lane bits, and every low lane bit."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    check_order(n)
     full = (1 << (_LANE_WIDTH * n)) - 1
     return full, full // 3
 
@@ -64,33 +64,26 @@ def packed_identity(n: int) -> int:
     return lane_masks(n)[0]
 
 
-def packed_mul(x: int, y: int, n: int) -> tuple[int, int]:
-    """Lane-parallel product of two packed order-n words: (sign, packed word)."""
-    full, lo = lane_masks(n)
-    if x < 0 or y < 0 or x & ~full or y & ~full:
-        raise ValueError(f"stray bits above lane {2 * n}")
-    z = ~(x ^ y) & full
-    ax = (x >> 1) & lo
-    bx = x & lo
-    ay = (y >> 1) & lo
-    by = y & lo
-    t = (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)
-    sign = 1 if (t.bit_count() + n) & 1 == 0 else -1
-    return sign, z
-
-
 def packed_mul_many(xs, ys, n: int):
-    """Vectorized kernel over numpy uint64 arrays (broadcasting allowed).
+    """Lane-parallel products of packed order-n words, pairwise over numpy
+    arrays (broadcasting allowed; plain ints give 0-d arrays).
 
     Returns (signs, products) with signs int8 in {+1, -1} and products
-    uint64.  Inputs are assumed in range; callers enumerate or mask them.
+    uint64.  Raises ValueError when an input is negative or has bits above
+    lane 2n.
     """
     full_i, lo_i = lane_masks(n)
     full = np.uint64(full_i)
     lo = np.uint64(lo_i)
     one = np.uint64(1)
-    xs = np.asarray(xs, dtype=np.uint64)
-    ys = np.asarray(ys, dtype=np.uint64)
+    try:
+        xs = np.asarray(xs, dtype=np.uint64)
+        ys = np.asarray(ys, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("packed words must be nonnegative integers below 2**64") from None
+    # checked before the kernel, so these temporaries are freed before its own
+    if ((xs | ys) & ~full).any():
+        raise ValueError(f"stray bits above lane {2 * n}")
     z = ~(xs ^ ys) & full
     ax = (xs >> one) & lo
     bx = xs & lo

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .geometry import DEFAULT_R0, tiles
-from .words import format_word
+from .geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
+from .words import all_words, format_word
 
 #: Depth cap for rendering; 4**8 polygons is already a ~10 MB file.
 RENDER_MAX_DEPTH = 8
@@ -71,17 +71,17 @@ def render_tiling(
         _STYLE + f"    polygon {{ stroke-width: {_fmt(stroke)}; }}",
         "  </style>",
     ]
-    for tile in tiles(n, r0):
-        cls = "up" if tile.upward else "down"
-        if tile.word in extra:
-            cls += " " + extra[tile.word]
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in tile.polygon())
+    for w in all_words(n):
+        cls = "up" if is_upward(w) else "down"
+        if w in extra:
+            cls += " " + extra[w]
+        pts = " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in tile_polygon(w, r0))
         lines.append(f'  <polygon class="{cls}" points="{pts}"/>')
         if labels:
-            c = tile.centroid
+            c = centroid(w, r0 / 2.0)
             lines.append(
                 f'  <text x="{_fmt(c.x)}" y="{_fmt(-c.y)}" font-size="{_fmt(font)}">'
-                f"{format_word(tile.word, letters)}</text>"
+                f"{format_word(w, letters)}</text>"
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -126,10 +126,15 @@ def format_signed_word(sw: SignedWord, letters: bool = False) -> str:
     return "-" + body if sw.sign < 0 else body
 
 
-def identity_word(n: int) -> str:
-    """The all-7 word of length n, the multiplicative identity."""
+def check_order(n: int) -> None:
+    """Raise ValueError unless n is a word length in 1..MAX_ORDER."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+
+
+def identity_word(n: int) -> str:
+    """The all-7 word of length n, the multiplicative identity."""
+    check_order(n)
     return "7" * n
 
 
@@ -143,8 +148,7 @@ def all_words(n: int) -> Iterator[str]:
 
     Position 1 varies fastest, so the sequence starts 11..1, 21..1, 41..1.
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    check_order(n)
     for tup in product(DIGITS, repeat=n):
         yield "".join(tup[::-1])
 

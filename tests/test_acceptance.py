@@ -17,8 +17,8 @@ import numpy as np
 from floretion import cli
 from floretion.algebra import Element
 from floretion.centralizer import centralizer_counts, centralizer_tiles, sigma_sums
-from floretion.geometry import centroid, dihedral_matrix, tiles
-from floretion.packed import packed_mul, unpack_word
+from floretion.geometry import centroid, dihedral_matrix, tile_polygon
+from floretion.packed import packed_mul_many
 from floretion.sequences import (
     coeff_stream,
     fibonacci_elements,
@@ -78,9 +78,10 @@ def test_c02_worked_product(capsys):
     report(2, "worked product: mul iji jek = -kjj exactly")
 
 
-def table_products(xs: list[int], ys: list[int], n: int) -> list[tuple[int, int]]:
-    """(sign, packed product) per pair, read lane by lane from LOCAL_TABLE
-    with a numpy gather: a reference independent of the lane formula."""
+def table_products(xs: list[int], ys: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, packed products) of the pairs, read lane by lane from
+    LOCAL_TABLE with a numpy gather: a reference independent of the lane
+    formula."""
     sign_table = np.zeros((4, 4), dtype=np.int64)
     code_table = np.zeros((4, 4), dtype=np.uint64)
     for (a, b), (sign, d) in LOCAL_TABLE.items():
@@ -95,7 +96,7 @@ def table_products(xs: list[int], ys: list[int], n: int) -> list[tuple[int, int]
         ly = ((ay >> shift) & np.uint64(3)).astype(np.intp)
         signs *= sign_table[lx, ly]
         prods |= code_table[lx, ly] << shift
-    return list(zip(signs.tolist(), prods.tolist()))
+    return signs, prods
 
 
 def test_c03_kernel_oracle():
@@ -111,9 +112,11 @@ def test_c03_kernel_oracle():
         pairs = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(200_000)]
         batches.append((n, [x for x, _ in pairs], [y for _, y in pairs]))
     for n, xs, ys in batches:
-        for x, y, ref in zip(xs, ys, table_products(xs, ys, n)):
-            assert packed_mul(x, y, n) == ref
-            checked += 1
+        ref_signs, ref_prods = table_products(xs, ys, n)
+        signs, prods = packed_mul_many(xs, ys, n)
+        assert signs.shape == prods.shape == (len(xs),)
+        assert np.array_equal(signs, ref_signs) and np.array_equal(prods, ref_prods)
+        checked += len(xs)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(3, f"kernel oracle: {checked} packed products identical to the LOCAL_TABLE gather in {elapsed:.1f} s")
@@ -284,7 +287,7 @@ def test_c15_tiling_partition_and_axis_highlight():
     parent = area((Vec2(0.0, 1.0), Vec2(-s, -0.5), Vec2(s, -0.5)))
     worst = 0.0
     for n in range(1, 6):
-        total = sum(area(t.polygon()) for t in tiles(n, 1.0))
+        total = sum(area(tile_polygon(w, 1.0)) for w in all_words(n))
         worst = max(worst, abs(total - parent))
     assert worst <= 1e-9
     highlighted = axis_words("1", 3)
@@ -293,47 +296,9 @@ def test_c15_tiling_partition_and_axis_highlight():
     report(15, f"tiling partition: depth<=5 area defect {worst:.2e}; axis highlight has 8 tiles")
 
 
-def test_c16_performance_report():
-    rng = random.Random(1616)
-    n = 8
-    iters = 100_000
-    top = 4**n - 1
-    xs = [rng.randint(0, top) for _ in range(iters)]
-    ys = [rng.randint(0, top) for _ in range(iters)]
-    xw = [unpack_word(v, n) for v in xs]
-    yw = [unpack_word(v, n) for v in ys]
-    for i in range(1000):
-        word_mul(xw[i], yw[i])
-        packed_mul(xs[i], ys[i], n)
-    t0 = time.perf_counter()
-    for a, b in zip(xw, yw):
-        word_mul(a, b)
-    t_word = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for a, b in zip(xs, ys):
-        packed_mul(a, b, n)
-    t_packed = time.perf_counter() - t0
-
-    from floretion.packed import packed_mul_many
-
-    ax = np.array(xs, dtype=np.uint64)
-    ay = np.array(ys, dtype=np.uint64)
-    packed_mul_many(ax, ay, n)  # warmup pass pays the allocation cost
-    t_batch = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        packed_mul_many(ax, ay, n)
-        t_batch = min(t_batch, time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    t = centralizer_tiles("1" + "7" * 9)
-    t_scan = time.perf_counter() - t0
-    assert t.total == 4**10 // 2
-
-    report(
-        16,
-        "performance (reported, not asserted): "
-        f"word_mul {iters / t_word:,.0f}/s, packed_mul {iters / t_packed:,.0f}/s "
-        f"({t_word / t_packed:.1f}x), batch kernel {iters / t_batch:,.0f}/s "
-        f"({t_word / t_batch:.0f}x), order-10 centralizer tile listing {t_scan:.2f} s",
-    )
+def test_c16_performance_report(capsys):
+    assert cli.main(["bench", "--order", "8", "--iterations", "100000", "--scan-order", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "cross-check   100000/100000 agree" in lines
+    assert any(line.startswith(f"centralizer scan order 10: {4**10 // 2} tiles listed") for line in lines)
+    report(16, "performance (reported, not asserted): " + "; ".join(" ".join(line.split()) for line in lines))

@@ -53,6 +53,10 @@ def test_mul_errors():
     assert r.returncode != 0
 
 
+# an exact coefficient beyond the range of a float
+_HUGE_COEFF = '{"order": 2, "terms": [{"word": "12", "coeff": "1e400"}]}'
+
+
 @pytest.mark.parametrize(
     "args, stdin",
     [
@@ -71,10 +75,16 @@ def test_mul_errors():
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "10", "--recurrence", "--max-order", "0"], None),
         (["bench", "--scan-order", "13"], None),
         (["bench", "--scan-order", "-1"], None),
+        # argparse rejects the removed --rng-seed flag
+        (["bench", "--rng-seed", "1"], None),
+        (["pow", "-", "-m", "2"], "[" * 200_000 + "]" * 200_000),
+        (["coeff", "-", "12", "--float"], _HUGE_COEFF),
+        (["seq", "--element", "-", "--word", "12", "--mmax", "3", "--float"], _HUGE_COEFF),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
+        "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -229,6 +239,11 @@ def test_seq_bfile(tmp_path):
     assert r.returncode != 0
     assert "integer" in r.stderr
     assert r.stdout == ""
+    # "-" writes the b-file to stdout, after the stream
+    r = run_cli("seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "3", "--bfile", "-", cwd=tmp_path)
+    assert r.returncode == 0
+    assert r.stdout == "1 1 1\n1 1\n2 1\n3 1\n"
+    assert not (tmp_path / "-").exists()
 
 
 def test_seq_bfile_parts(tmp_path):
@@ -254,7 +269,7 @@ def test_deterministic_outputs():
 def test_bench_smoke():
     r = run_cli("bench", "--order", "4", "--iterations", "2000", "--scan-order", "5")
     assert r.returncode == 0
-    assert "word_mul" in r.stdout and "packed_mul" in r.stdout
+    assert "word_mul" in r.stdout and "packed batch" in r.stdout
     assert "cross-check   2000/2000 agree" in r.stdout
     assert "centralizer scan order 5" in r.stdout
 

@@ -9,17 +9,15 @@ import pytest
 
 from floretion.geometry import (
     Mat2,
-    TriTile,
     Vec2,
     centroid,
     dihedral_matrix,
     elementary_vector,
     is_upward,
     tile_polygon,
-    tiles,
 )
 from floretion.symmetry import ALL_PERMS, ROTATE, SWAP_24, apply_perm_word
-from floretion.words import all_words
+from floretion.words import all_words, parse_word
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -178,25 +176,27 @@ def _point_in_triangle(points: np.ndarray, tri, eps: float) -> np.ndarray:
 def test_tiling_partition_depths_1_to_5():
     parent_area = shoelace(Vec2(0.0, 1.0), Vec2(-SQRT3_2, -0.5), Vec2(SQRT3_2, -0.5))
     for n in range(1, 6):
-        tls = list(tiles(n, 1.0))
-        total = sum(shoelace(*t.polygon()) for t in tls)
+        polys = [tile_polygon(w, 1.0) for w in all_words(n)]
+        total = sum(shoelace(*poly) for poly in polys)
         assert abs(total - parent_area) < 1e-9
         # no tile's centroid lies strictly inside any other tile
-        pts = np.array([[t.centroid.x, t.centroid.y] for t in tls])
+        pts = np.array([[c.x, c.y] for c in map(centroid, all_words(n))])
         eps = 1e-12
-        for j, t in enumerate(tls):
-            inside = _point_in_triangle(pts, t.polygon(), eps)
+        for j, poly in enumerate(polys):
+            inside = _point_in_triangle(pts, poly, eps)
             inside[j] = False
             assert not inside.any()
 
 
 def test_tritile_fields():
-    t = TriTile.for_word("ij", 2.0)
-    assert t.word == "12"
-    assert t.depth == 2
-    assert t.upward is True
-    assert abs(t.circumradius - 0.5) < 1e-15
-    assert t.centroid.dist(centroid("12", 1.0)) == 0.0
+    w = parse_word("ij")
+    assert w == "12"
+    assert is_upward(w) is True
+    poly = tile_polygon(w, 2.0)
+    c = centroid(w, 1.0)
+    assert all(abs(p.dist(c) - 0.5) < 1e-15 for p in poly)
+    mean = Vec2(sum(p.x for p in poly) / 3, sum(p.y for p in poly) / 3)
+    assert mean.dist(c) < 1e-15
 
 
 def test_dihedral_identity():

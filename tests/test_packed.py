@@ -10,7 +10,6 @@ from floretion.packed import (
     lane_masks,
     pack_word,
     packed_identity,
-    packed_mul,
     packed_mul_many,
     unpack_word,
 )
@@ -38,43 +37,47 @@ def test_packed_identity():
 
 def test_packed_mul_example():
     n = 3
-    s, p = packed_mul(pack_word(parse_word("iji")), pack_word(parse_word("jek")), n)
+    s, p = packed_mul_many(pack_word(parse_word("iji")), pack_word(parse_word("jek")), n)
     assert s == -1
-    assert unpack_word(p, n) == parse_word("kjj")
+    assert unpack_word(int(p), n) == parse_word("kjj")
 
 
 def test_packed_mul_identity():
     e = packed_identity(4)
-    assert packed_mul(e, e, 4) == (1, e)
+    s, p = packed_mul_many(e, e, 4)
+    assert (int(s), int(p)) == (1, e)
 
 
 def test_packed_mul_matches_word_mul_exhaustive():
     # the kernel's sign formula is locked by this oracle, not by derivation
     for n in (1, 2, 3, 4):
         words = list(all_words(n))
+        k = len(words)
+        signs, prods = packed_mul_many(np.arange(k)[:, None], np.arange(k)[None, :], n)
         for i, a in enumerate(words):
             for j, b in enumerate(words):
-                sign, packed = packed_mul(i, j, n)
                 ref = word_mul(a, b)
-                assert sign == ref.sign and unpack_word(packed, n) == ref.word
+                assert signs[i, j] == ref.sign and unpack_word(int(prods[i, j]), n) == ref.word
 
 
 def test_packed_mul_matches_word_mul_random_wide():
     rng = random.Random(99)
     for n in (5, 8, 13, 21, 32):
-        for _ in range(500):
-            x = rng.randint(0, 4**n - 1)
-            y = rng.randint(0, 4**n - 1)
-            sign, packed = packed_mul(x, y, n)
+        xs = [rng.randint(0, 4**n - 1) for _ in range(500)]
+        ys = [rng.randint(0, 4**n - 1) for _ in range(500)]
+        signs, prods = packed_mul_many(xs, ys, n)
+        for x, y, sign, packed in zip(xs, ys, signs.tolist(), prods.tolist()):
             ref = word_mul(unpack_word(x, n), unpack_word(y, n))
             assert sign == ref.sign and unpack_word(packed, n) == ref.word
 
 
 def test_stray_bits_rejected():
     with pytest.raises(ValueError):
-        packed_mul(1 << 6, 0, 3)
+        packed_mul_many(1 << 6, 0, 3)
     with pytest.raises(ValueError):
-        packed_mul(0, -1, 3)
+        packed_mul_many(0, -1, 3)
+    with pytest.raises(ValueError):  # one stray word in a batch rejects the batch
+        packed_mul_many(np.arange(64, dtype=np.uint64), np.array([0, 1 << 6] * 32, dtype=np.uint64), 3)
     with pytest.raises(ValueError):
         unpack_word(1 << 4, 2)
 
@@ -93,7 +96,7 @@ def test_batch_kernel_matches_scalar():
         ys = np.array([rng.randint(0, 4**n - 1) for _ in range(512)], dtype=np.uint64)
         signs, prods = packed_mul_many(xs, ys, n)
         for x, y, s, p in zip(xs.tolist(), ys.tolist(), signs.tolist(), prods.tolist()):
-            assert (s, p) == packed_mul(x, y, n)
+            assert (s, unpack_word(p, n)) == word_mul(unpack_word(x, n), unpack_word(y, n))
 
 
 def test_batch_kernel_broadcasts():
