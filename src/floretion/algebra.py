@@ -137,11 +137,7 @@ class Element:
         for bw, q in self.terms.items():
             for cw, r in other.terms.items():
                 s, pw = word_mul(bw, cw)
-                acc = out.get(pw, Fraction(0)) + (q * r if s > 0 else -q * r)
-                if acc:
-                    out[pw] = acc
-                else:
-                    out.pop(pw, None)
+                out[pw] = out.get(pw, 0) + (q * r if s > 0 else -q * r)
         return Element(self.order, out)
 
     def __pow__(self, m: int) -> "Element":

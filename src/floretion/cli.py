@@ -65,6 +65,14 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
+    """Print `lines` and write each (path, text) output.  Files are written
+    first, so a failed write leaves stdout empty; outputs to - follow `lines`."""
+    printed = "".join(f"{line}\n" for line in lines)
+    for path, text in sorted([(None, printed), *outputs], key=lambda o: o[0] in (None, "-")):
+        _write_text(path, text)
+
+
 def _load_element(path: str) -> Element:
     return element_from_json(_read_text(path))
 
@@ -85,10 +93,6 @@ def _cmd_mul(args) -> int:
     if len(args.words) < 2:
         raise ValueError("mul needs at least two words")
     operands = [parse_signed_word(t) for t in args.words]
-    n = len(operands[0].word)
-    for sw in operands[1:]:
-        if len(sw.word) != n:
-            raise ValueError("all words must have the same length")
     acc = operands[0]
     for sw in operands[1:]:
         acc = signed_word_mul(acc, sw)
@@ -168,16 +172,17 @@ def _cmd_centralizer(args) -> int:
     else:
         t = centralizer_tiles(w)
         counts, parts = (len(t.plus), len(t.minus)), (t.plus, t.minus)
+    outputs = []
     if args.svg is not None:
         extra = {c: "highlight-plus" for c in t.plus}
         extra.update({c: "highlight-minus" for c in t.minus})
-        svg = render_tiling(len(w), args.r0, extra_classes=extra)
+        outputs.append((args.svg, render_tiling(len(w), args.r0, extra_classes=extra)))
+    lines = []
     for label, count, part in zip(("plus", "minus"), counts, parts):
         listing = "" if args.count_only else ": " + " ".join(sorted(format_word(c, args.letters) for c in part))
-        print(f"{label} {count}{listing}")
-    print(f"total {sum(counts)}")
-    if args.svg is not None:
-        _write_text(args.svg, svg)
+        lines.append(f"{label} {count}{listing}")
+    lines.append(f"total {sum(counts)}")
+    _emit(lines, outputs)
     return 0
 
 
@@ -228,14 +233,10 @@ def _cmd_seq(args) -> int:
         num_path, den_path = args.bfile_parts
         b_files.append((num_path, _b_file_text([Fraction(q.numerator) for q in scaled], args.offset)))
         b_files.append((den_path, _b_file_text([Fraction(q.denominator) for q in scaled], args.offset)))
-    if args.float:
-        print(" ".join(f"{float(q):.12g}" for q in scaled))
-    else:
-        print(" ".join(str(q) for q in scaled))
+    lines = [" ".join(f"{float(q):.12g}" if args.float else str(q) for q in scaled)]
     if args.recurrence:
-        print(f"no recurrence of order <= {args.max_order}" if rec is None else rec)
-    for path, text in b_files:
-        _write_text(path, text)
+        lines.append(f"no recurrence of order <= {args.max_order}" if rec is None else str(rec))
+    _emit(lines, b_files)
     return 0
 
 

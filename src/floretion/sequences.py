@@ -5,9 +5,8 @@ Tracking one basis word's coefficient through X, X**2, X**3, ... yields an
 exact rational sequence.  Because the order-n algebra is finite dimensional,
 such streams satisfy linear recurrences with constant coefficients; in
 order two the bound is degree four.  `find_recurrence` recovers the minimal
-one up to a requested order by solving the shifted linear systems in exact
-arithmetic at increasing order -- float fitting would misreport minimality,
-so none is used.
+one up to a requested order with one Berlekamp-Massey pass in exact
+arithmetic -- float fitting would misreport minimality, so none is used.
 
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
@@ -53,10 +52,7 @@ class Recurrence:
     def holds_on(self, seq: Sequence[Fraction]) -> bool:
         """True when every term after the first `order` follows the rule."""
         k = self.order
-        return all(
-            seq[m] == sum(c * seq[m - 1 - i] for i, c in enumerate(self.coeffs))
-            for m in range(k, len(seq))
-        )
+        return len(seq) <= k or list(seq[k:]) == self.extend(seq[:k], len(seq) - k)
 
     def extend(self, seed: Sequence[Fraction], count: int) -> list[Fraction]:
         """Continue a sequence by `count` further terms from its tail."""
@@ -72,49 +68,17 @@ class Recurrence:
         return f"a(m) = {body}"
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows @ x = rhs, or None when inconsistent.
-
-    Gauss-Jordan over Fractions; free variables are set to zero.  The
-    caller re-verifies nothing: an inconsistent (overdetermined) system
-    returns None, which is what recurrence search needs.
-    """
-    ncols = len(rows[0])
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(m):
-            break
-    if any(m[i][-1] != 0 for i in range(r, len(m))):
-        return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        sol[c] = m[i][-1]
-    return sol
-
-
 def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | None:
     """Minimal exact linear recurrence of order <= max_order, or None.
 
-    Tries each order k = 1, 2, ... and solves the full shifted system
-    a(m) = sum c_i a(m-i) over every available m > k, so a returned
-    recurrence holds on all supplied terms and no smaller order fits.
-    Requires at least 2*max_order + 2 terms so the largest system stays
-    meaningfully overdetermined.  None is a result, not an error: the
-    sequence simply has no short recurrence.
+    One Berlekamp-Massey pass (Massey 1969) over the terms finds the
+    shortest rule a(m) = sum c_i a(m-i) that holds for every supplied m at
+    or past its order L.  A sequence of N >= 2L terms has exactly one such
+    rule of order L; requiring 2*max_order + 2 terms keeps that true for
+    every order the search may return.  L never shrinks, so the pass stops
+    with None as soon as L exceeds max_order.  None is a result, not an
+    error: the sequence simply has no short recurrence.  An all-zero
+    sequence gives the order-1 rule a(m) = 0.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -122,13 +86,27 @@ def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | Non
     if len(seq) < need:
         raise ValueError(f"need at least {need} terms for max_order {max_order}, got {len(seq)}")
     seq = [Fraction(v) for v in seq]
-    for k in range(1, max_order + 1):
-        rows = [seq[m - k : m][::-1] for m in range(k, len(seq))]
-        rhs = seq[k:]
-        sol = _solve_exact(rows, rhs)
-        if sol is not None:
-            return Recurrence(tuple(sol))
-    return None
+    # connection polynomial c (c[0] = 1) and the one before the last length
+    # change, b, with that step's discrepancy; both have degree <= max_order
+    c = [Fraction(1)] + [Fraction(0)] * max_order
+    b, b_disc = list(c), Fraction(1)
+    length, shift = 0, 1
+    for m, s in enumerate(seq):
+        d = s + sum(c[i] * seq[m - i] for i in range(1, length + 1))
+        if d == 0:
+            shift += 1
+            continue
+        grow = 2 * length <= m
+        if grow and m + 1 - length > max_order:
+            return None
+        prev, f = list(c), d / b_disc
+        for i in range(max_order + 1 - shift):
+            c[i + shift] -= f * b[i]
+        if grow:
+            length, b, b_disc, shift = m + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    return Recurrence(tuple(-v for v in c[1 : length + 1]) or (Fraction(0),))
 
 
 # -- packaged order-two constructions -------------------------------------------

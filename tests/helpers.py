@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from floretion.algebra import Element
+from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
 from floretion.words import DIGITS
 
@@ -30,3 +31,45 @@ def random_axis_symmetric(rng, n: int, axis: str, max_terms: int = 5) -> Element
         sym = x + apply_perm_element(tau, x)
         if not sym.is_zero():
             return sym
+
+
+def _solve_exact(rows, rhs):
+    """One exact solution of rows @ x = rhs (free variables zero), or None
+    when the system is inconsistent.  Gauss-Jordan over Fractions."""
+    ncols = len(rows[0])
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(m):
+            break
+    if any(m[i][-1] != 0 for i in range(r, len(m))):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        sol[c] = m[i][-1]
+    return sol
+
+
+def reference_recurrence(seq, max_order: int):
+    """Oracle for `find_recurrence`: for k = 1, 2, ..., max_order solve the
+    full shifted system a(m) = sum c_i a(m-i) over every m >= k and return
+    the first consistent one, or None."""
+    seq = [Fraction(v) for v in seq]
+    for k in range(1, max_order + 1):
+        sol = _solve_exact([seq[m - k : m][::-1] for m in range(k, len(seq))], seq[k:])
+        if sol is not None:
+            return Recurrence(tuple(sol))
+    return None

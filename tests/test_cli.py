@@ -80,11 +80,16 @@ _HUGE_COEFF = '{"order": 2, "terms": [{"word": "12", "coeff": "1e400"}]}'
         (["pow", "-", "-m", "2"], "[" * 200_000 + "]" * 200_000),
         (["coeff", "-", "12", "--float"], _HUGE_COEFF),
         (["seq", "--element", "-", "--word", "12", "--mmax", "3", "--float"], _HUGE_COEFF),
+        # output files under a missing directory: the failed write comes before any printing
+        (["centralizer", "12", "--svg", "missing/x.svg"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "3", "--bfile", "missing/b.txt"], None),
+        (["seq", "--preset", "fib", "--word", "ij", "--mmax", "3", "--bfile-parts", "missing/n.txt", "missing/d.txt"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
         "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
+        "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):

@@ -16,7 +16,7 @@ from floretion.sequences import (
     padovan_elements,
     write_b_file,
 )
-from helpers import random_fraction
+from helpers import random_element, random_fraction, random_word, reference_recurrence
 
 F = Fraction
 
@@ -85,6 +85,20 @@ def test_find_recurrence_constant_and_zero():
     zero = find_recurrence([F(0)] * 8, 2)
     assert zero is not None and zero.order == 1
     assert zero.holds_on([F(0)] * 8)
+    # a lone nonzero term: order 3, all coefficients zero, as the oracle says
+    sparse = [F(0), F(0), F(1), F(0), F(0), F(0), F(0), F(0)]
+    assert find_recurrence(sparse, 3).coeffs == (F(0), F(0), F(0))
+    assert find_recurrence(sparse, 2) is None
+    # leading zeros before a geometric tail
+    lead = [F(0), F(0)] + [F(2) ** m for m in range(8)]
+    assert find_recurrence(lead, 3).coeffs == (F(2), F(0), F(0))
+    # exactly 2 * max_order + 2 terms of an order-3 rule
+    tri = Recurrence((F(1), F(-1), F(1, 2)))
+    exact = [F(1), F(0), F(2)] + tri.extend([F(1), F(0), F(2)], 5)
+    assert len(exact) == 2 * 3 + 2
+    assert find_recurrence(exact, 3) == tri
+    # a sequence no longer than the order holds vacuously
+    assert tri.holds_on([F(5), F(7)]) and tri.holds_on([F(5), F(7), F(9)])
 
 
 def test_find_recurrence_insufficient_terms():
@@ -116,6 +130,42 @@ def test_recurrence_soundness_against_generator():
         assert rec.holds_on(seq)
         # the detected rule continues the sequence identically
         assert rec.extend(seq, 50) == gen.extend(seq, 50)
+
+
+def _oracle_cases(rng):
+    """(sequence, max_order) pairs from seeded families: random rational
+    recurrences of order 0-10, with and without one perturbed term; all-zero
+    and sparse 0/1 sequences; coefficient streams of random order-2/3 elements
+    at every admissible max_order."""
+    for _ in range(1500):
+        max_order = rng.randint(1, 8)
+        k = rng.randint(0, 10)
+        seed = [random_fraction(rng) for _ in range(k)]
+        gen = Recurrence(tuple(random_fraction(rng, -2, 2) for _ in range(k)))
+        total = 2 * max_order + 2 + rng.randint(0, 6)
+        seq = (seed + gen.extend(seed, total))[:total]
+        if rng.random() < 0.3:
+            seq[rng.randrange(total)] += random_fraction(rng, 1, 3)
+        yield seq, max_order
+    for _ in range(300):
+        max_order = rng.randint(1, 8)
+        total = 2 * max_order + 2 + rng.randint(0, 4)
+        p = rng.choice((0.0, 0.1, 0.3))
+        yield [F(int(rng.random() < p)) for _ in range(total)], max_order
+    for _ in range(30):
+        x = random_element(rng, rng.choice((2, 3)))
+        stream = coeff_stream(x, random_word(rng, x.order), 18)
+        for max_order in range(1, 9):
+            yield stream, max_order
+
+
+def test_find_recurrence_matches_reference_oracle():
+    rng = random.Random(20261018)
+    count = 0
+    for seq, max_order in _oracle_cases(rng):
+        assert find_recurrence(seq, max_order) == reference_recurrence(seq, max_order), (seq, max_order)
+        count += 1
+    assert count >= 2000
 
 
 def test_recurrence_extend_and_holds_on():
