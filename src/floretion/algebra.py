@@ -7,6 +7,14 @@ Coefficients are `fractions.Fraction` throughout so that the recurrence and
 cancellation identities the package tests can be checked exactly; this
 includes the truncated exponential, whose partial sums are exact too.
 
+Products run on packed words: both supports are packed, their coefficients
+become integer numerators over one common denominator per side, and
+`packed_mul_many` multiplies bounded blocks of term pairs.  The signed
+numerator products are summed per product word in int64 when no sum can
+reach 2**62 and in Python ints otherwise, so the result is exact either way.
+Products of at most `_PYTHON_PAIRS` term pairs use `packed_mul_pairs` and a
+dict of Python-int sums instead, with no numpy call at all.
+
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
 identically.
@@ -15,19 +23,35 @@ identically.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping
 
-from .packed import pack_word
+import numpy as np
+
+from . import packed
+from .packed import pack_word, unpack_word, unpack_words
 from .words import (
     check_order,
     format_word,
     identity_word,
     noncentral_count,
     parse_word,
-    word_mul,
 )
+
+#: Term pairs per `packed_mul_many` call in a product, which bounds the
+#: memory a product holds besides its result.
+_BLOCK_PAIRS = 1 << 14
+
+#: Integer sums stay in int64 while no partial sum can reach this.
+_INT64_LIMIT = 1 << 62
+
+#: Products of at most this many term pairs skip numpy.  Numpy's fixed cost
+#: per call is most of the time of such a product, and it speeds up and slows
+#: down with the host differently from interpreted code; without it a small
+#: product's time follows the interpreter alone.
+_PYTHON_PAIRS = 256
 
 
 class Element:
@@ -66,6 +90,15 @@ class Element:
     def one(cls, order: int) -> "Element":
         """The multiplicative identity: 1 times the all-7 word."""
         return cls(order, {identity_word(order): 1})
+
+    @classmethod
+    def _canonical(cls, order: int, terms: dict[str, Fraction]) -> "Element":
+        """Wrap terms already in canonical form (canonical words, nonzero
+        Fraction coefficients) without checking them again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "order", order)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     # -- basics ------------------------------------------------------------
 
@@ -128,17 +161,55 @@ class Element:
     # -- multiplicative structure ---------------------------------------------
 
     def __mul__(self, other):
+        """Exact product; an int or Fraction scales.
+
+        Term pairs go through `packed_mul_many` in blocks of at most
+        `_BLOCK_PAIRS`, and block sums fold into one sorted (word, sum) pair
+        of arrays, so memory follows the result size rather than the pair
+        count or 4**n.  Numerator sums are int64 when max|num x| *
+        max|num y| * min(|x|, |y|) < 2**62, else Python ints.  Products of
+        at most `_PYTHON_PAIRS` pairs run in plain Python (`_small_product`).
+        """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_order(other)
-        out: dict[str, Fraction] = {}
-        for bw, q in self.terms.items():
-            for cw, r in other.terms.items():
-                s, pw = word_mul(bw, cw)
-                out[pw] = out.get(pw, 0) + (q * r if s > 0 else -q * r)
-        return Element(self.order, out)
+        n = self.order
+        if not self.terms or not other.terms:
+            return Element(n, {})
+        xs, xnum, xden = _numerators(self.terms)
+        ys, ynum, yden = _numerators(other.terms)
+        if len(xs) * len(ys) <= _PYTHON_PAIRS:
+            return _small_product(xs, xnum, ys, ynum, xden * yden, n)
+        xs = np.array(xs, dtype=np.uint64)
+        ys = np.array(ys, dtype=np.uint64)
+        # For a fixed left word and product word the right word is fixed, so
+        # each product word gathers at most min(|x|, |y|) numerator products.
+        bound = max(map(abs, xnum)) * max(map(abs, ynum)) * min(len(xs), len(ys))
+        dtype = np.int64 if bound < _INT64_LIMIT else object
+        xnum = np.array(xnum, dtype=dtype)
+        ynum = np.array(ynum, dtype=dtype)
+        cols = min(len(ys), _BLOCK_PAIRS)
+        rows = _BLOCK_PAIRS // cols
+        # blocks[0] holds the running sums; the rest are pending block sums,
+        # folded in once they outgrow it, so both stay within a small
+        # multiple of the result's size
+        blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        for r in range(0, len(xs), rows):
+            for c in range(0, len(ys), cols):
+                # looked up on the module so a wrapper installed there
+                # (perfbench/tracer.py) sees every block
+                signs, prods = packed.packed_mul_many(xs[r : r + rows, None], ys[None, c : c + cols], n)
+                vals = signs * (xnum[r : r + rows, None] * ynum[None, c : c + cols])
+                blocks.append(_sum_by_key(prods.ravel(), vals.ravel()))
+                if sum(len(k) for k, _ in blocks[1:]) > len(blocks[0][0]):
+                    blocks = [_merge(blocks)]
+        keys, sums = _merge(blocks) if len(blocks) > 1 else blocks[0]
+        nonzero = sums != 0
+        den = xden * yden
+        coeffs = [Fraction(s, den) for s in sums[nonzero].tolist()]
+        return Element._canonical(n, dict(zip(unpack_words(keys[nonzero], n), coeffs)))
 
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
@@ -186,6 +257,38 @@ class Element:
             nw = word_map(w)
             out[nw] = out.get(nw, Fraction(0)) + q
         return Element(self.order, out)
+
+
+def _numerators(terms: Mapping[str, Fraction]) -> tuple[list[int], list[int], int]:
+    """Packed words, integer numerators over one common denominator, and
+    that denominator."""
+    den = math.lcm(*(q.denominator for q in terms.values()))
+    return [pack_word(w) for w in terms], [q.numerator * (den // q.denominator) for q in terms.values()], den
+
+
+def _small_product(xs: list[int], xnum: list[int], ys: list[int], ynum: list[int], den: int, n: int) -> Element:
+    """The product for few term pairs, in Python ints throughout: signed
+    numerator products summed per packed product word in a dict."""
+    sums: dict[int, int] = {}
+    vals = (a * b for a in xnum for b in ynum)
+    for (sign, z), v in zip(packed.packed_mul_pairs(xs, ys, n), vals):
+        sums[z] = sums.get(z, 0) + (v if sign > 0 else -v)
+    terms = {unpack_word(z, n): Fraction(sums[z], den) for z in sorted(sums) if sums[z]}
+    return Element._canonical(n, terms)
+
+
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct keys and the exact sum of `vals` at each.  Sums
+    stay in `vals`' dtype (never float64, which `np.bincount` would use)."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(vals[order], starts)
+
+
+def _merge(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Fold (keys, sums) blocks into one sorted pair."""
+    return _sum_by_key(np.concatenate([k for k, _ in blocks]), np.concatenate([v for _, v in blocks]))
 
 
 def sierpinski_support(n: int) -> Element:

@@ -22,7 +22,7 @@ from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
 from .centralizer import SCAN_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
-from .packed import lane_masks, pack_word, packed_mul_many, unpack_word
+from .packed import lane_masks, packed_mul_many, unpack_words
 from .render import render_tiling
 from .sequences import (
     coeff_stream,
@@ -41,6 +41,7 @@ from .symmetry import (
     parse_perm,
 )
 from .words import (
+    all_words,
     format_signed_word,
     format_word,
     parse_signed_word,
@@ -240,7 +241,8 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-#: Seed of the random word pairs `bench` multiplies, so runs time the same inputs.
+#: Seed of the random word pairs and the element `bench` multiplies, so runs
+#: time the same inputs.
 BENCH_SEED = 20260808
 
 
@@ -254,10 +256,10 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {m}")
     full, _ = lane_masks(n)
     rng = random.Random(BENCH_SEED)
-    xs = [rng.randint(0, full) for _ in range(iters)]
-    ys = [rng.randint(0, full) for _ in range(iters)]
-    xw = [unpack_word(v, n) for v in xs]
-    yw = [unpack_word(v, n) for v in ys]
+    ax = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
+    ay = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
+    xw = unpack_words(ax, n)
+    yw = unpack_words(ay, n)
 
     for i in range(min(1000, iters)):  # warmup
         word_mul(xw[i], yw[i])
@@ -266,8 +268,6 @@ def _cmd_bench(args) -> int:
     ref = [word_mul(a, b) for a, b in zip(xw, yw)]
     t_word = time.perf_counter() - t0
 
-    ax = np.array(xs, dtype=np.uint64)
-    ay = np.array(ys, dtype=np.uint64)
     signs, prods = packed_mul_many(ax, ay, n)  # warmup pays allocation cost
     t_batch = float("inf")
     for _ in range(3):
@@ -275,11 +275,7 @@ def _cmd_bench(args) -> int:
         signs, prods = packed_mul_many(ax, ay, n)
         t_batch = min(t_batch, time.perf_counter() - t0)
 
-    agree = sum(
-        1
-        for (sw, ww), sb, wb in zip(ref, signs.tolist(), prods.tolist())
-        if sw == sb and pack_word(ww) == wb
-    )
+    agree = sum(1 for (sw, ww), sb, wb in zip(ref, signs.tolist(), unpack_words(prods, n)) if sw == sb and ww == wb)
     rate_word = iters / t_word
     rate_batch = iters / t_batch
     print(f"order {n}, {iters} random products per kernel")
@@ -288,6 +284,15 @@ def _cmd_bench(args) -> int:
     print(f"cross-check   {agree}/{iters} agree")
     if agree != iters:
         raise ValueError("kernel cross-check failed")
+
+    rng = random.Random(BENCH_SEED)  # a dense order-4 element: all 256 words
+    x = Element(4, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in all_words(4)})
+    t_square = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        square = x * x
+        t_square = min(t_square, time.perf_counter() - t0)
+    print(f"Element square order {x.order}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
 
     if m:
         t0 = time.perf_counter()

@@ -17,8 +17,12 @@ them preserves the parity of the full sum, since popcounts add mod 2 under
 XOR).  The kernel is locked against the digitwise reference by an exhaustive
 oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 
-`packed_mul_many` is the kernel; it runs over numpy arrays, so one call
-multiplies a whole batch of word pairs.
+`packed_mul_many` runs the kernel over numpy arrays, so one call multiplies
+a whole batch of word pairs.  `packed_mul_pairs` runs the same formula on
+plain Python ints, for batches of a few hundred pairs, where numpy's fixed
+cost per call is most of the time; a test holds the two equal on every pair
+up to n = 4.  `unpack_words` turns a batch of packed words back into digit
+words in one pass.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .words import CODE_DIGIT, DIGIT_CODE, check_order
+from .words import CODE_DIGIT, DIGIT_CODE, DIGITS, check_order
 
 _LANE_WIDTH = 2
+#: ASCII digit of each 2-bit lane code (DIGITS is in code order).
+_CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +63,24 @@ def unpack_word(bits: int, n: int) -> str:
     if bits & ~full or bits < 0:
         raise ValueError(f"stray bits above lane {2 * n} in {bits:#x}")
     return "".join(CODE_DIGIT[(bits >> (_LANE_WIDTH * r)) & 3] for r in range(n))
+
+
+def unpack_words(packed, n: int) -> list[str]:
+    """Unpack an array of order-n lane integers to digit words, in order.
+
+    Builds one (N, n) table of ASCII digits and decodes it once, so the
+    cost per word is one string slice.  Raises ValueError like `unpack_word`.
+    """
+    full, _ = lane_masks(n)
+    try:
+        arr = np.asarray(packed, dtype=np.uint64).reshape(-1)
+    except OverflowError:
+        raise ValueError("packed words must be nonnegative integers below 2**64") from None
+    if (arr & ~np.uint64(full)).any():
+        raise ValueError(f"stray bits above lane {2 * n}")
+    shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
+    text = _CODE_BYTES[(arr[:, None] >> shifts) & np.uint64(3)].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def packed_identity(n: int) -> int:
@@ -94,3 +118,27 @@ def packed_mul_many(xs, ys, n: int):
     parity = (np.bitwise_count(t) + np.uint8(n)) & np.uint8(1)
     signs = np.int8(1) - np.int8(2) * parity.astype(np.int8)
     return signs, z
+
+
+def packed_mul_pairs(xs, ys, n: int) -> list[tuple[int, int]]:
+    """Products of every pair (x, y) of packed order-n words, x-major, in
+    plain Python ints: a list of (sign, product) with sign +1 or -1.
+
+    The same lane formula as `packed_mul_many` without numpy, for batches
+    of a few hundred pairs.  Raises ValueError when an input is negative
+    or has bits above lane 2n.
+    """
+    full, lo = lane_masks(n)
+    if any(w < 0 or w & ~full for w in (*xs, *ys)):
+        raise ValueError(f"stray bits above lane {2 * n}")
+    return [(-1 if (_odd_lanes(x, y, lo).bit_count() + n) & 1 else 1, ~(x ^ y) & full) for x in xs for y in ys]
+
+
+def _odd_lanes(x: int, y: int, lo: int) -> int:
+    """t1 ^ t2 ^ t3 of the module docstring for two packed words, at the
+    low bit of each lane: `packed_mul_many`'s formula on Python ints."""
+    ax = (x >> 1) & lo
+    bx = x & lo
+    ay = (y >> 1) & lo
+    by = y & lo
+    return (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)

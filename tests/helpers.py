@@ -5,7 +5,7 @@ from fractions import Fraction
 from floretion.algebra import Element
 from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
-from floretion.words import DIGITS
+from floretion.words import DIGITS, word_mul
 
 
 def random_fraction(rng, lo=-4, hi=4, denominators=(1, 2, 3, 4)) -> Fraction:
@@ -21,6 +21,17 @@ def random_element(rng, n: int, max_terms: int = 6) -> Element:
     for _ in range(rng.randint(1, max_terms)):
         terms[random_word(rng, n)] = random_fraction(rng)
     return Element(n, terms)
+
+
+def reference_mul(x: Element, y: Element) -> Element:
+    """Oracle for `Element.__mul__`: one `word_mul` and one exact Fraction
+    multiply-add per term pair."""
+    out = {}
+    for bw, q in x.terms.items():
+        for cw, r in y.terms.items():
+            s, pw = word_mul(bw, cw)
+            out[pw] = out.get(pw, 0) + (q * r if s > 0 else -q * r)
+    return Element(x.order, out)
 
 
 def random_axis_symmetric(rng, n: int, axis: str, max_terms: int = 5) -> Element:

@@ -3,10 +3,12 @@
 import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from floretion import algebra
 from floretion.algebra import (
     Element,
     element_from_json,
@@ -15,7 +17,10 @@ from floretion.algebra import (
     format_element,
     sierpinski_support,
 )
-from helpers import random_element, random_fraction
+from floretion.centralizer import sigma_sums
+from floretion.packed import pack_word, unpack_word
+from floretion.words import all_words
+from helpers import random_element, random_fraction, random_word, reference_mul
 
 F = Fraction
 
@@ -61,6 +66,110 @@ def test_mul_scalar():
     assert 2 * x == Element(2, {"12": 1})
     assert x * 2 == Element(2, {"12": 1})
     assert x.scaled(F(2, 3)) == Element(2, {"12": F(1, 3)})
+
+
+def _assert_mul_exact(x, y):
+    # both product paths, numpy blocks and plain Python, whatever the size
+    expect = reference_mul(x, y)
+    for limit in (0, math.inf):
+        with _python_pairs(limit):
+            z = x * y
+        assert z == expect
+        assert all(type(q) is Fraction and q != 0 for q in z.terms.values())
+        assert list(z.terms) == sorted(z.terms, key=pack_word)
+
+
+@contextmanager
+def _python_pairs(limit):
+    """Products of at most `limit` term pairs take the plain-Python path."""
+    saved = algebra._PYTHON_PAIRS
+    algebra._PYTHON_PAIRS = limit
+    try:
+        yield
+    finally:
+        algebra._PYTHON_PAIRS = saved
+
+
+def test_mul_paths_meet_at_the_limit():
+    # the largest product on the plain-Python path and the smallest on numpy
+    rng = random.Random(256)
+    limit = algebra._PYTHON_PAIRS
+    for k in (limit // 16, limit // 16 + 1):
+        x = Element(4, {unpack_word(v, 4): random_fraction(rng, denominators=_MIXED) for v in rng.sample(range(256), k)})
+        y = Element(4, {unpack_word(v, 4): random_fraction(rng, denominators=_MIXED) for v in rng.sample(range(256), 16)})
+        assert x * y == reference_mul(x, y)
+
+
+#: Denominators with no common factor, so the common denominators differ per side.
+_MIXED = (1, 2, 3, 5, 7, 9, 11)
+
+
+def test_mul_matches_reference_sparse_and_dense():
+    rng = random.Random(20261018)
+    for n in range(1, 6):
+        for _ in range(8):
+            x = random_element(rng, n, max_terms=10)
+            y = Element(n, {random_word(rng, n): random_fraction(rng, denominators=_MIXED) for _ in range(6)})
+            _assert_mul_exact(x, y)
+            _assert_mul_exact(y, x)
+            _assert_mul_exact(x, -x)
+            _assert_mul_exact(Element.zero(n), x)
+            _assert_mul_exact(x, Element.zero(n))
+    for n in range(1, 5):
+        dense = Element(n, {w: random_fraction(rng, -9, 9, _MIXED) for w in all_words(n)})
+        _assert_mul_exact(dense, dense)
+        _assert_mul_exact(dense, -dense)
+        _assert_mul_exact(random_element(rng, n, max_terms=5), dense)
+    words5 = list(all_words(5))
+    x = Element(5, {w: random_fraction(rng, -9, 9, _MIXED) for w in rng.sample(words5, 200)})
+    y = Element(5, {w: random_fraction(rng, -9, 9, _MIXED) for w in rng.sample(words5, 150)})
+    _assert_mul_exact(x, y)
+    # an operand longer than one block of term pairs is split on both sides
+    long = Element(8, {unpack_word(v, 8): random_fraction(rng, 1, 9) for v in rng.sample(range(4**8), 17_000)})
+    short = random_element(rng, 8, max_terms=3)
+    assert len(long.terms) > 2**14
+    _assert_mul_exact(short, long)
+    _assert_mul_exact(long, short)
+
+
+def test_mul_full_cancellation():
+    # the component sums of an involutive word annihilate each other
+    plus, minus = sigma_sums("1212")
+    assert reference_mul(plus, minus).is_zero()
+    _assert_mul_exact(plus, minus)
+    _assert_mul_exact(minus, plus)
+
+
+def test_mul_exact_across_int64_limit():
+    # int64 sums are used while max|num x| * max|num y| * min(|x|, |y|) < 2**62:
+    # 15 terms of +-2**29 stay just below, 16 sit on the limit (Python ints)
+    rng = random.Random(62)
+    words = list(all_words(2))
+    for k in (15, 16):
+        for _ in range(6):
+            x = Element(2, {w: rng.choice((-1, 1)) * 2**29 for w in rng.sample(words, k)})
+            y = Element(2, {w: rng.choice((-1, 1)) * 2**29 for w in rng.sample(words, k)})
+            _assert_mul_exact(x, y)
+    top = Element(2, dict.fromkeys(words, 2**29))
+    _assert_mul_exact(top, top)
+    _assert_mul_exact(Element(2, dict.fromkeys(words[:15], 2**29)), top)
+    # numerators near 2**40 over mixed denominators: products near 2**80
+    for n in (2, 3, 5):
+        for _ in range(4):
+            x = Element(n, {random_word(rng, n): F(2**40 + rng.randint(-99, 99), rng.choice(_MIXED)) for _ in range(12)})
+            y = Element(n, {random_word(rng, n): F(-(2**40) + rng.randint(-99, 99), rng.choice(_MIXED)) for _ in range(12)})
+            _assert_mul_exact(x, y)
+            _assert_mul_exact(x, x)
+
+
+def test_mul_sparse_order_32():
+    # a length-4**32 accumulator could not be allocated, so this pins sparse sums
+    rng = random.Random(32)
+    x = random_element(rng, 32, max_terms=40)
+    y = random_element(rng, 32, max_terms=40)
+    _assert_mul_exact(x, y)
+    _assert_mul_exact(x, x)
+    _assert_mul_exact(x, Element.one(32))
 
 
 def test_bilinearity_random():

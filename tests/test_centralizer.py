@@ -1,6 +1,7 @@
 """Centralizer tile sets: counts, component split, vanishing products."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from floretion.words import (
     signed_word_mul,
     word_mul,
 )
+from helpers import random_word
 
 
 def brute_force_tiles(b: str) -> tuple[list[str], list[str]]:
@@ -170,6 +172,39 @@ def test_vanishing_exhaustive():
                     check_vanishing(b)
             else:
                 assert check_vanishing(b)
+
+
+def test_vanishing_orders_5_and_6():
+    rng = random.Random(56)
+    for n in (5, 6):
+        checked = 0
+        while checked < 3:
+            b = random_word(rng, n)
+            if noncentral_count(b) % 2 == 0 and b != identity_word(n):
+                assert check_vanishing(b)
+                checked += 1
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_component_product_memory_is_bounded():
+    # 1024 x 1024 term pairs; one unblocked outer product peaks near 40 MB
+    plus, minus = sigma_sums("121277")
+    assert len(plus.terms) * len(minus.terms) == 2**20
+    z, peak = _traced_peak(lambda: plus * minus)
+    assert z.is_zero()
+    assert peak < 16 * 2**20
+    # 4M pairs in 256 blocks of 4096 distinct words each: kept apart until
+    # the end instead of folded into the running sums, they peak near 50 MB
+    every = Element(6, dict.fromkeys(all_words(6), 1))
+    _, peak = _traced_peak(lambda: plus * every)
+    assert peak < 16 * 2**20
 
 
 def test_sigma_eigen_relations():

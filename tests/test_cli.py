@@ -276,6 +276,7 @@ def test_bench_smoke():
     assert r.returncode == 0
     assert "word_mul" in r.stdout and "packed batch" in r.stdout
     assert "cross-check   2000/2000 agree" in r.stdout
+    assert "Element square order 4: 256 terms -> 256 terms in " in r.stdout
     assert "centralizer scan order 5" in r.stdout
 
 

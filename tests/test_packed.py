@@ -11,7 +11,9 @@ from floretion.packed import (
     pack_word,
     packed_identity,
     packed_mul_many,
+    packed_mul_pairs,
     unpack_word,
+    unpack_words,
 )
 from floretion.words import all_words, parse_word, word_mul
 
@@ -29,6 +31,24 @@ def test_pack_unpack_roundtrip_random_large():
         n = rng.randint(4, 32)
         v = rng.randint(0, 4**n - 1)
         assert pack_word(unpack_word(v, n)) == v
+
+
+def test_unpack_words_matches_unpack_word():
+    for n in (1, 2, 3, 4):
+        assert unpack_words(np.arange(4**n, dtype=np.uint64), n) == list(all_words(n))
+    rng = random.Random(12)
+    for n in range(1, 33):
+        vals = [rng.randint(0, 4**n - 1) for _ in range(50)] + [0, 4**n - 1]
+        assert unpack_words(np.array(vals, dtype=np.uint64), n) == [unpack_word(v, n) for v in vals]
+    assert unpack_words(np.array([], dtype=np.uint64), 5) == []
+
+
+def test_unpack_words_rejects_stray_bits():
+    for n in (1, 4, 31):
+        with pytest.raises(ValueError, match=f"stray bits above lane {2 * n}"):
+            unpack_words(np.array([0, 4**n], dtype=np.uint64), n)
+    with pytest.raises(ValueError):
+        unpack_words([-1], 3)
 
 
 def test_packed_identity():
@@ -97,6 +117,28 @@ def test_batch_kernel_matches_scalar():
         signs, prods = packed_mul_many(xs, ys, n)
         for x, y, s, p in zip(xs.tolist(), ys.tolist(), signs.tolist(), prods.tolist()):
             assert (s, unpack_word(p, n)) == word_mul(unpack_word(x, n), unpack_word(y, n))
+
+
+def test_plain_int_pairs_match_batch_kernel():
+    # every pair up to n = 4, then seeded words up to n = 32
+    for n in (1, 2, 3, 4):
+        words = list(range(4**n))
+        signs, prods = packed_mul_many(np.array(words)[:, None], np.array(words)[None, :], n)
+        assert packed_mul_pairs(words, words, n) == list(zip(signs.ravel().tolist(), prods.ravel().tolist()))
+    rng = random.Random(32)
+    for n in (5, 9, 16, 32):
+        xs = [rng.randint(0, 4**n - 1) for _ in range(40)]
+        ys = [rng.randint(0, 4**n - 1) for _ in range(30)]
+        signs, prods = packed_mul_many(np.array(xs, dtype=np.uint64)[:, None], np.array(ys, dtype=np.uint64)[None, :], n)
+        assert packed_mul_pairs(xs, ys, n) == list(zip(signs.ravel().tolist(), prods.ravel().tolist()))
+    assert packed_mul_pairs([], [1, 2], 2) == []
+
+
+def test_plain_int_pairs_reject_stray_bits():
+    with pytest.raises(ValueError):
+        packed_mul_pairs([1 << 6], [0], 3)
+    with pytest.raises(ValueError):
+        packed_mul_pairs([0], [0, -1], 3)
 
 
 def test_batch_kernel_broadcasts():
