@@ -10,8 +10,9 @@ includes the truncated exponential, whose partial sums are exact too.
 Products run on packed words: both supports are packed, their coefficients
 become integer numerators over one common denominator per side, and
 `packed_mul_many` multiplies bounded blocks of term pairs.  The signed
-numerator products are summed per product word in int64 when no sum can
-reach 2**62 and in Python ints otherwise, so the result is exact either way.
+numerator products are summed per product word (with `np.add.at` up to
+order 7, by sorting each block above) in int64 when no sum can reach 2**62
+and in Python ints otherwise, so the result is exact either way.
 Products of at most `_PYTHON_PAIRS` term pairs use `packed_mul_pairs` and a
 dict of Python-int sums instead, with no numpy call at all.
 
@@ -142,7 +143,7 @@ class Element:
         return Element(self.order, out)
 
     def __neg__(self) -> "Element":
-        return Element(self.order, {w: -q for w, q in self.terms.items()})
+        return Element._canonical(self.order, {w: -q for w, q in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -164,11 +165,12 @@ class Element:
         """Exact product; an int or Fraction scales.
 
         Term pairs go through `packed_mul_many` in blocks of at most
-        `_BLOCK_PAIRS`, and block sums fold into one sorted (word, sum) pair
-        of arrays, so memory follows the result size rather than the pair
-        count or 4**n.  Numerator sums are int64 when max|num x| *
-        max|num y| * min(|x|, |y|) < 2**62, else Python ints.  Products of
-        at most `_PYTHON_PAIRS` pairs run in plain Python (`_small_product`).
+        `_BLOCK_PAIRS`; they add into one slot per word while 4**n <=
+        `_BLOCK_PAIRS`, else block sums fold into one sorted (word, sum)
+        pair of arrays.  Memory never follows the pair count.  Numerator
+        sums are int64 when max|num x| * max|num y| * min(|x|, |y|) <
+        2**62, else Python ints.  Products of at most `_PYTHON_PAIRS`
+        pairs run in plain Python (`_small_product`).
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -192,17 +194,22 @@ class Element:
         ynum = np.array(ynum, dtype=dtype)
         cols = min(len(ys), _BLOCK_PAIRS)
         rows = _BLOCK_PAIRS // cols
-        # blocks[0] holds the running sums; the rest are pending block sums,
-        # folded in once they outgrow it, so both stay within a small
-        # multiple of the result's size
-        blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        # Up to order 7 blocks add into one slot per word, unsorted.  Above,
+        # blocks[0] holds the running sums and the rest are pending sorted
+        # block sums, folded in once they outgrow it, so both stay within a
+        # small multiple of the result's size.
+        dense = 4**n <= _BLOCK_PAIRS
+        blocks = [(np.arange(4**n, dtype=np.uint64), np.zeros(4**n, dtype=dtype))] if dense else []
         for r in range(0, len(xs), rows):
             for c in range(0, len(ys), cols):
                 # looked up on the module so a wrapper installed there
                 # (perfbench/tracer.py) sees every block
                 signs, prods = packed.packed_mul_many(xs[r : r + rows, None], ys[None, c : c + cols], n)
-                vals = signs * (xnum[r : r + rows, None] * ynum[None, c : c + cols])
-                blocks.append(_sum_by_key(prods.ravel(), vals.ravel()))
+                vals = (signs * (xnum[r : r + rows, None] * ynum[None, c : c + cols])).ravel()
+                if dense:
+                    np.add.at(blocks[0][1], prods.ravel().astype(np.intp), vals)
+                    continue
+                blocks.append(_sum_by_key(prods.ravel(), vals))
                 if sum(len(k) for k, _ in blocks[1:]) > len(blocks[0][0]):
                     blocks = [_merge(blocks)]
         keys, sums = _merge(blocks) if len(blocks) > 1 else blocks[0]
@@ -229,7 +236,7 @@ class Element:
     def conjugate(self) -> "Element":
         """Digitwise quaternionic conjugation: negate words with an odd
         number of non-7 digits.  An involutive anti-automorphism."""
-        return Element(
+        return Element._canonical(
             self.order,
             {w: (-q if noncentral_count(w) % 2 else q) for w, q in self.terms.items()},
         )
@@ -240,7 +247,7 @@ class Element:
         odd: dict[str, Fraction] = {}
         for w, q in self.terms.items():
             (odd if noncentral_count(w) % 2 else even)[w] = q
-        return Element(self.order, even), Element(self.order, odd)
+        return Element._canonical(self.order, even), Element._canonical(self.order, odd)
 
     @property
     def even_part(self) -> "Element":

@@ -17,13 +17,14 @@ cancellation exactly.
 Both the product sign and commutation are products of per-digit factors,
 so counting and listing run one four-state transfer over positions: the
 state is the parity of anticommuting digit pairs so far and the sign so
-far.  Counts take O(n) integer sums at any order; listings grow the words
-one digit at a time, sized to the output.
+far.  One transfer loop serves both, and only the value carried per state
+differs: counts carry an integer, O(n) sums at any order; listings carry
+the word prefixes and grow them one digit at a time, sized to the output.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import Element
@@ -68,16 +69,26 @@ def _transitions(word: str) -> list[list[tuple[str, bool, int]]]:
     ]
 
 
+def _transfer(word: str, start, append):
+    """The four-state transfer over a canonical word's positions.  Each state
+    (odd anticommuting parity, sign) carries a value, `start` at first; digit
+    d maps v to `append(v, d)`, and values meeting in a state sum by `+=`.
+    Returns the values at (even, +1) and (even, -1)."""
+    n = len(word)
+    states = {(False, 1): start}
+    for r, step in enumerate(_transitions(word), 1):
+        nxt = defaultdict(type(start))
+        for d, anti, s in step:
+            for (odd, sign), v in states.items():
+                if r < n or odd == anti:
+                    nxt[odd ^ anti, sign * s] += append(v, d)
+        states = nxt
+    return states[False, 1], states[False, -1]
+
+
 def centralizer_counts(word: str) -> tuple[int, int]:
     """(plus count, minus count) without materializing the word lists."""
-    counts = Counter({(False, 1): 1})
-    for step in _transitions(parse_word(word)):
-        nxt = Counter()
-        for (odd, sign), k in counts.items():
-            for _, anti, s in step:
-                nxt[odd ^ anti, sign * s] += k
-        counts = nxt
-    return counts[False, 1], counts[False, -1]
+    return _transfer(parse_word(word), 1, lambda k, d: k)
 
 
 # Keep the name: perfbench/tracer.py wraps `_scan_masks` in every traced run.
@@ -87,18 +98,9 @@ def _scan_masks(word: str) -> tuple[list[str], list[str]]:
     Digits go in code order outside the states, and position r is the most
     significant lane so far, so every list stays in ascending packed order.
     """
-    n = len(word)
-    if n > SCAN_MAX_ORDER:
-        raise ValueError(f"tile listing supports order <= {SCAN_MAX_ORDER}; got {n}")
-    words = {(False, 1): [""]}
-    for r, step in enumerate(_transitions(word), 1):
-        nxt = defaultdict(list)
-        for d, anti, s in step:
-            for (odd, sign), prefixes in words.items():
-                if r < n or odd == anti:
-                    nxt[odd ^ anti, sign * s].extend([p + d for p in prefixes])
-        words = nxt
-    return words[False, 1], words[False, -1]
+    if len(word) > SCAN_MAX_ORDER:
+        raise ValueError(f"tile listing supports order <= {SCAN_MAX_ORDER}; got {len(word)}")
+    return _transfer(word, [""], lambda ps, d: [p + d for p in ps])
 
 
 def centralizer_tiles(word: str) -> CentralizerTiles:

@@ -17,17 +17,18 @@ them preserves the parity of the full sum, since popcounts add mod 2 under
 XOR).  The kernel is locked against the digitwise reference by an exhaustive
 oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 
-`packed_mul_many` runs the kernel over numpy arrays, so one call multiplies
-a whole batch of word pairs.  `packed_mul_pairs` runs the same formula on
-plain Python ints, for batches of a few hundred pairs, where numpy's fixed
-cost per call is most of the time; a test holds the two equal on every pair
-up to n = 4.  `unpack_words` turns a batch of packed words back into digit
-words in one pass.
+`_odd_lanes` is the one copy of that formula.  `packed_mul_many` runs it on
+numpy arrays, a whole batch of word pairs per call, with numpy-scalar masks
+(with Python-int masks the formula takes about 30% longer);
+`packed_mul_pairs` runs it on Python ints, for batches of a few hundred
+pairs, where numpy's fixed cost per call is most of the time.
+`unpack_words` decodes a batch of packed words in one pass.  Negative or
+oversized words and float arrays raise ValueError instead of wrapping.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .words import CODE_DIGIT, DIGIT_CODE, DIGITS, check_order
 _LANE_WIDTH = 2
 #: ASCII digit of each 2-bit lane code (DIGITS is in code order).
 _CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
+_NOT_WORDS = "packed words must be nonnegative integers below 2**64"
 
 
 @lru_cache(maxsize=None)
@@ -71,13 +73,7 @@ def unpack_words(packed, n: int) -> list[str]:
     Builds one (N, n) table of ASCII digits and decodes it once, so the
     cost per word is one string slice.  Raises ValueError like `unpack_word`.
     """
-    full, _ = lane_masks(n)
-    try:
-        arr = np.asarray(packed, dtype=np.uint64).reshape(-1)
-    except OverflowError:
-        raise ValueError("packed words must be nonnegative integers below 2**64") from None
-    if (arr & ~np.uint64(full)).any():
-        raise ValueError(f"stray bits above lane {2 * n}")
+    arr = _packed_words(n, packed)[0].reshape(-1)
     shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
     text = _CODE_BYTES[(arr[:, None] >> shifts) & np.uint64(3)].tobytes().decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)]
@@ -93,39 +89,42 @@ def packed_mul_many(xs, ys, n: int):
     arrays (broadcasting allowed; plain ints give 0-d arrays).
 
     Returns (signs, products) with signs int8 in {+1, -1} and products
-    uint64.  Raises ValueError when an input is negative or has bits above
-    lane 2n.
+    uint64.  Raises ValueError when an input is not a nonnegative integer
+    or has bits above lane 2n.
     """
-    full_i, lo_i = lane_masks(n)
-    full = np.uint64(full_i)
-    lo = np.uint64(lo_i)
-    one = np.uint64(1)
-    try:
-        xs = np.asarray(xs, dtype=np.uint64)
-        ys = np.asarray(ys, dtype=np.uint64)
-    except OverflowError:
-        raise ValueError("packed words must be nonnegative integers below 2**64") from None
-    # checked before the kernel, so these temporaries are freed before its own
-    if ((xs | ys) & ~full).any():
-        raise ValueError(f"stray bits above lane {2 * n}")
-    z = ~(xs ^ ys) & full
-    ax = (xs >> one) & lo
-    bx = xs & lo
-    ay = (ys >> one) & lo
-    by = ys & lo
-    t = (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)
+    full, lo = lane_masks(n)
+    xs, ys = _packed_words(n, xs, ys)
     # bitwise_count yields uint8; n <= 32 keeps the sum well below overflow
-    parity = (np.bitwise_count(t) + np.uint8(n)) & np.uint8(1)
+    parity = (np.bitwise_count(_odd_lanes(xs, ys, np.uint64(lo))) + np.uint8(n)) & np.uint8(1)
     signs = np.int8(1) - np.int8(2) * parity.astype(np.int8)
-    return signs, z
+    return signs, ~(xs ^ ys) & np.uint64(full)
+
+
+def _packed_words(n: int, *arrays) -> list[np.ndarray]:
+    """The inputs as uint64 arrays (uint64 input is not copied); ValueError
+    unless all are packed order-n words.  Numpy input needs an integer dtype
+    and no negative entry; Python ints convert exactly or overflow.  Stray
+    bits are checked over all inputs at once, before any kernel allocates."""
+    words = []
+    for a in arrays:
+        kind = a.dtype.kind if hasattr(a, "dtype") and a.size else "u"
+        if kind not in "iu" or (kind == "i" and (a < 0).any()):
+            raise ValueError(_NOT_WORDS)
+        try:
+            words.append(np.asarray(a, dtype=np.uint64))
+        except OverflowError:
+            raise ValueError(_NOT_WORDS) from None
+    if (reduce(np.bitwise_or, words) & ~np.uint64(lane_masks(n)[0])).any():
+        raise ValueError(f"stray bits above lane {2 * n}")
+    return words
 
 
 def packed_mul_pairs(xs, ys, n: int) -> list[tuple[int, int]]:
     """Products of every pair (x, y) of packed order-n words, x-major, in
     plain Python ints: a list of (sign, product) with sign +1 or -1.
 
-    The same lane formula as `packed_mul_many` without numpy, for batches
-    of a few hundred pairs.  Raises ValueError when an input is negative
+    `packed_mul_many`'s lane formula without numpy, for batches of a few
+    hundred pairs.  Raises ValueError when an input is negative
     or has bits above lane 2n.
     """
     full, lo = lane_masks(n)
@@ -134,9 +133,9 @@ def packed_mul_pairs(xs, ys, n: int) -> list[tuple[int, int]]:
     return [(-1 if (_odd_lanes(x, y, lo).bit_count() + n) & 1 else 1, ~(x ^ y) & full) for x in xs for y in ys]
 
 
-def _odd_lanes(x: int, y: int, lo: int) -> int:
-    """t1 ^ t2 ^ t3 of the module docstring for two packed words, at the
-    low bit of each lane: `packed_mul_many`'s formula on Python ints."""
+def _odd_lanes(x, y, lo):
+    """t1 ^ t2 ^ t3 of the module docstring at the low bit of each lane, for
+    Python ints or uint64 arrays (then `lo` must be a numpy scalar)."""
     ax = (x >> 1) & lo
     bx = x & lo
     ay = (y >> 1) & lo

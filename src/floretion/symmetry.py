@@ -147,17 +147,18 @@ def twisted_commute_check(x: Element, y: Element, axis_x: str, axis_y: str) -> b
     criterion is meaningless.  With equal axes gamma is the identity and the
     check is ordinary commutation.
     """
-    tau_x = axis_reflection(axis_x)
-    tau_y = axis_reflection(axis_y)
-    if apply_perm_element(tau_x, x) != x:
+    if not is_axis_symmetric(x, axis_x):
         raise ValueError(f"first element is not symmetric about axis {axis_x}")
-    if apply_perm_element(tau_y, y) != y:
+    if not is_axis_symmetric(y, axis_y):
         raise ValueError(f"second element is not symmetric about axis {axis_y}")
-    gamma = tau_x * tau_y
+    gamma = axis_reflection(axis_x) * axis_reflection(axis_y)
     return x * y == apply_perm_element(gamma, y) * x
 
 
-def _check_coords(coords: Iterable[int], n: int) -> tuple[int, ...]:
+def _check_coords(coords: Iterable[int] | None, n: int) -> Iterable[int]:
+    """The checked 1-based coordinates of a length-n word (all by default)."""
+    if coords is None:
+        return range(1, n + 1)
     out = tuple(sorted(set(coords)))
     for r in out:
         if not 1 <= r <= n:
@@ -171,14 +172,12 @@ def local_cycle(word: str, coords: Iterable[int] | None = None, times: int = 1) 
     """Apply the cycle 1 -> 2 -> 4 -> 1 `times` times in the selected
     1-based coordinates (all of them by default), fixing 7 everywhere."""
     w = parse_word(word)
-    sel = range(1, len(w) + 1) if coords is None else _check_coords(coords, len(w))
-    pi = IDENTITY
-    for _ in range(times % 3):
-        pi = ROTATE * pi
-    chars = list(w)
-    for r in sel:
-        chars[r - 1] = pi(chars[r - 1])
-    return "".join(chars)
+    return _cycle(w, _check_coords(coords, len(w)), (IDENTITY, ROTATE, ROTATE2)[times % 3])
+
+
+def _cycle(w: str, sel: Iterable[int], pi: Perm) -> str:
+    """Apply `pi` at the checked coordinates `sel` of canonical word `w`."""
+    return "".join(pi(d) if r in sel else d for r, d in enumerate(w, 1))
 
 
 def cyclic_orbit_points(
@@ -191,11 +190,10 @@ def cyclic_orbit_points(
     returned points are always the vertices of an equilateral triangle.
     """
     w = parse_word(word)
-    sel = range(1, len(w) + 1) if coords is None else _check_coords(coords, len(w))
+    sel = _check_coords(coords, len(w))
     if all(w[r - 1] == "7" for r in sel):
         raise ValueError("all selected coordinates hold the digit 7; the orbit is a single point")
-    w1 = local_cycle(w, sel)
-    w2 = local_cycle(w1, sel)
+    w1, w2 = _cycle(w, sel, ROTATE), _cycle(w, sel, ROTATE2)
     return centroid(w, d1), centroid(w1, d1), centroid(w2, d1)
 
 

@@ -111,7 +111,10 @@ def test_one_half_law():
 
 
 def test_counts_match_tiles():
-    words = ["11", "124", "1711"] + random_words(64, range(1, 10), 2) + [identity_word(n) for n in (1, 5, 9)]
+    # every word up to n = 3: counts and listings share one transfer loop,
+    # last-position filter included
+    words = [w for n in (1, 2, 3) for w in all_words(n)]
+    words += ["1711"] + random_words(64, range(1, 10), 2) + [identity_word(n) for n in (5, 9)]
     for b in words:
         t = centralizer_tiles(b)
         assert centralizer_counts(b) == (len(t.plus), len(t.minus))

@@ -102,6 +102,27 @@ def test_stray_bits_rejected():
         unpack_word(1 << 4, 2)
 
 
+def test_non_words_rejected_not_wrapped():
+    # negative and float numpy input used to wrap or truncate to a valid word
+    bad = [
+        lambda: packed_mul_many(np.array([-1], dtype=np.int64), np.array([5], dtype=np.int64), 32),
+        lambda: unpack_words(np.array([-2], dtype=np.int32), 32),
+        lambda: unpack_words(np.array([2.7]), 3),
+        lambda: packed_mul_many(np.array([2.7]), np.array([1.0]), 3),
+        lambda: packed_mul_many(np.array([1, 2]), np.array([True, False]), 3),
+        lambda: unpack_words([2**64], 32),
+        lambda: unpack_words([1, -1], 3),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError, match="nonnegative integers below 2\\*\\*64"):
+            call()
+    # nonnegative signed input, Python ints across 2**63 and empty input still work
+    signs, prods = packed_mul_many(np.array([3], dtype=np.int32), np.array([3], dtype=np.int64), 1)
+    assert signs.tolist() == [1] and prods.tolist() == [3]
+    assert unpack_words([5, 2**63], 32) == [unpack_word(5, 32), unpack_word(2**63, 32)]
+    assert unpack_words(np.array([], dtype=np.uint64), 3) == [] == unpack_words([], 3)
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         lane_masks(0)
