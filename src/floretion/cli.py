@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import random
 import sys
 import time
@@ -74,6 +76,18 @@ def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
         _write_text(path, text)
 
 
+#: Largest exponent `pow -m` and `coeff -m` take and longest stream `seq
+#: --mmax` prints.  At the cap the rational Fibonacci stream takes about 3 s
+#: and prints 16 MB, and powers of small order-3 elements outgrow the
+#: interpreter's integer-to-text digit limit.
+MAX_POWER = 4096
+
+
+def _check_power(value: int, option: str) -> None:
+    if value > MAX_POWER:
+        raise ValueError(f"{option} must be at most {MAX_POWER}, got {value}")
+
+
 def _load_element(path: str) -> Element:
     return element_from_json(_read_text(path))
 
@@ -102,12 +116,14 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_pow(args) -> int:
+    _check_power(args.power, "-m/--power")
     x = _load_element(args.element)
     print(element_to_json(x**args.power))
     return 0
 
 
 def _cmd_coeff(args) -> int:
+    _check_power(args.power, "-m/--power")
     x = _load_element(args.element)
     q = (x**args.power).coeff(args.word)
     print(float(q) if args.float else q)
@@ -215,6 +231,7 @@ def _b_file_text(values: list[Fraction], offset: int) -> str:
 
 
 def _cmd_seq(args) -> int:
+    _check_power(args.mmax, "--mmax")
     if (args.preset is None) == (args.element is None):
         raise ValueError("seq needs exactly one of --preset or --element")
     if args.preset is not None:
@@ -246,6 +263,40 @@ def _cmd_seq(args) -> int:
 BENCH_SEED = 20260808
 
 
+def _best_of(k: int, fn):
+    """(seconds of each of k calls of fn, the last result)."""
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return times, out
+
+
+def _git_commit() -> str | None:
+    import subprocess  # only `bench --json` needs it; other commands skip its import time
+
+    try:
+        r = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)), capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return r.stdout.strip() or None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def _cmd_bench(args) -> int:
     n = args.order
     iters = args.iterations
@@ -254,6 +305,16 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"iterations must be >= 1, got {iters}")
     if not 0 <= m <= SCAN_MAX_ORDER:
         raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {m}")
+    metrics = {}
+
+    def note(name, value, unit, runs=()):
+        """Record a printed number for --json; timings keep every run."""
+        metrics[name] = {"value": value, "unit": unit, **({"runs_s": runs} if runs else {})}
+        return value
+
+    note("order", n, "word length")
+    note("iterations", iters, "products")
+
     full, _ = lane_masks(n)
     rng = random.Random(BENCH_SEED)
     ax = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
@@ -264,44 +325,61 @@ def _cmd_bench(args) -> int:
     for i in range(min(1000, iters)):  # warmup
         word_mul(xw[i], yw[i])
 
-    t0 = time.perf_counter()
-    ref = [word_mul(a, b) for a, b in zip(xw, yw)]
-    t_word = time.perf_counter() - t0
-
-    signs, prods = packed_mul_many(ax, ay, n)  # warmup pays allocation cost
-    t_batch = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        signs, prods = packed_mul_many(ax, ay, n)
-        t_batch = min(t_batch, time.perf_counter() - t0)
+    (t_word,), ref = _best_of(1, lambda: [word_mul(a, b) for a, b in zip(xw, yw)])
+    packed_mul_many(ax, ay, n)  # warmup pays allocation cost
+    runs, (signs, prods) = _best_of(3, lambda: packed_mul_many(ax, ay, n))
 
     agree = sum(1 for (sw, ww), sb, wb in zip(ref, signs.tolist(), unpack_words(prods, n)) if sw == sb and ww == wb)
-    rate_word = iters / t_word
-    rate_batch = iters / t_batch
-    print(f"order {n}, {iters} random products per kernel")
-    print(f"word_mul      {rate_word:12.0f} products/s")
-    print(f"packed batch  {rate_batch:12.0f} products/s  ({rate_batch / rate_word:.1f}x word_mul)")
-    print(f"cross-check   {agree}/{iters} agree")
+    rate_word = note("word_mul", iters / t_word, "products/s", [t_word])
+    rate_batch = note("packed_batch", iters / min(runs), "products/s", runs)
+    ratio = note("packed_batch_speedup", rate_batch / rate_word, "x word_mul")
+    note("cross_check_agree", agree, "products")
+    lines = [
+        f"order {n}, {iters} random products per kernel",
+        f"word_mul      {rate_word:12.0f} products/s",
+        f"packed batch  {rate_batch:12.0f} products/s  ({ratio:.1f}x word_mul)",
+        f"cross-check   {agree}/{iters} agree",
+    ]
     if agree != iters:
         raise ValueError("kernel cross-check failed")
 
     rng = random.Random(BENCH_SEED)  # a dense order-4 element: all 256 words
     x = Element(4, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in all_words(4)})
-    t_square = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        square = x * x
-        t_square = min(t_square, time.perf_counter() - t0)
-    print(f"Element square order {x.order}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
+    runs, square = _best_of(3, lambda: x * x)
+    note("element_square_order4_terms_in", len(x.terms), "terms")
+    note("element_square_order4_terms_out", len(square.terms), "terms")
+    t_square = note("element_square_order4", min(runs), "s", runs)
+    lines.append(f"Element square order {x.order}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
+
+    _, _, y = padovan_elements()
+    runs, _ = _best_of(3, lambda: coeff_stream(y, "ik", 200))
+    t_stream = note("coeff_stream_padovan_ik_200", min(runs), "s", runs)
+    lines.append(f"coeff_stream padovan ik: 200 powers in {t_stream:.4f} s")
 
     if m:
-        t0 = time.perf_counter()
-        t = centralizer_tiles("1" + "7" * (m - 1))
-        t_scan = time.perf_counter() - t0
-        print(
+        (t_scan,), t = _best_of(1, lambda: centralizer_tiles("1" + "7" * (m - 1)))
+        note("centralizer_scan_order", m, "word length")
+        note("centralizer_tiles_listed", t.total, "tiles")
+        note("centralizer_plus", len(t.plus), "tiles")
+        note("centralizer_minus", len(t.minus), "tiles")
+        note("centralizer_scan", t_scan, "s", [t_scan])
+        lines.append(
             f"centralizer scan order {m}: {t.total} tiles listed in {t_scan:.3f} s "
             f"(plus {len(t.plus)}, minus {len(t.minus)})"
         )
+    outputs = []
+    if args.json is not None:
+        environment = {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
+            "platform": platform.platform(),
+            "commit": _git_commit(),
+        }
+        record = {"environment": environment, "metrics": metrics}
+        outputs.append((args.json, json.dumps(record, indent=2) + "\n"))
+    _emit(lines, outputs)
     return 0
 
 
@@ -333,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pow", help="raise an element (JSON file, or - for stdin) to a power")
     p.add_argument("element")
-    p.add_argument("-m", "--power", type=int, required=True)
+    p.add_argument("-m", "--power", type=int, required=True, help=f"exponent, at most {MAX_POWER}")
     p.set_defaults(func=_cmd_pow)
 
     p = sub.add_parser("coeff", help="coefficient of a word in an element or one of its powers")
     p.add_argument("element")
     p.add_argument("word")
-    p.add_argument("-m", "--power", type=int, default=1)
+    p.add_argument("-m", "--power", type=int, default=1, help=f"exponent (default 1), at most {MAX_POWER}")
     p.add_argument("--float", action="store_true")
     p.set_defaults(func=_cmd_coeff)
 
@@ -392,16 +470,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(func=_cmd_vanishing)
 
-    p = sub.add_parser("seq", help="coefficient stream of element powers")
+    p = sub.add_parser(
+        "seq",
+        help="coefficient stream of element powers",
+        description="Coefficient stream of a word in X, X**2, ..., X**mmax.  At order n every "
+        "stream obeys a linear recurrence of order <= 2**n, so after 2**(n+1) + 2 powers the "
+        "stream is continued by its minimal recurrence.  With --recurrence, a rule found is "
+        "proved for every m once --mmax >= 2**(n+1) and --max-order >= 2**n; a 'no recurrence' "
+        "answer is always a proof, since a rule that held for the whole stream would hold for "
+        "the terms searched.",
+    )
     p.add_argument("--preset", choices=["fib", "fibonacci", "padovan"], help="built-in order-two construction")
     p.add_argument("--seed", default="-1,1,-1", help="A,B,C seed coefficients for the fibonacci preset")
     p.add_argument("--element", help="element JSON file, or - for stdin")
     p.add_argument("--word", required=True, help="basis word to track")
-    p.add_argument("--mmax", type=int, required=True, help="number of powers")
+    p.add_argument("--mmax", type=int, required=True, help=f"number of powers, at most {MAX_POWER}")
     p.add_argument("--scale", type=rational, default=Fraction(1), help="multiply printed terms")
     p.add_argument("--float", action="store_true")
     p.add_argument("--recurrence", action="store_true", help="detect a linear recurrence")
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=int, default=4, help="largest recurrence order searched (default 4)")
     p.add_argument("--bfile", help="write 'index value' lines (integer terms only)")
     p.add_argument(
         "--bfile-parts",
@@ -416,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--iterations", type=int, default=200_000)
     p.add_argument("--scan-order", type=int, default=10, help="also time a centralizer tile listing of this order (0 to skip)")
+    p.add_argument("--json", metavar="PATH", help="also write every number, with its unit, and the environment as JSON")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -23,7 +23,8 @@ numpy arrays, a whole batch of word pairs per call, with numpy-scalar masks
 `packed_mul_pairs` runs it on Python ints, for batches of a few hundred
 pairs, where numpy's fixed cost per call is most of the time.
 `unpack_words` decodes a batch of packed words in one pass.  Negative or
-oversized words and float arrays raise ValueError instead of wrapping.
+oversized words and floats, in arrays or not, raise ValueError instead of
+wrapping or truncating.
 """
 
 from __future__ import annotations
@@ -103,12 +104,17 @@ def packed_mul_many(xs, ys, n: int):
 def _packed_words(n: int, *arrays) -> list[np.ndarray]:
     """The inputs as uint64 arrays (uint64 input is not copied); ValueError
     unless all are packed order-n words.  Numpy input needs an integer dtype
-    and no negative entry; Python ints convert exactly or overflow.  Stray
-    bits are checked over all inputs at once, before any kernel allocates."""
+    and no negative entry; other input, a scalar or (nested) list, needs
+    nonnegative ints in every entry (bool counts, float does not) and
+    converts exactly or overflows.  Stray bits are checked over all inputs
+    at once, before any kernel allocates."""
     words = []
     for a in arrays:
-        kind = a.dtype.kind if hasattr(a, "dtype") and a.size else "u"
-        if kind not in "iu" or (kind == "i" and (a < 0).any()):
+        if hasattr(a, "dtype"):
+            kind = a.dtype.kind if a.size else "u"
+            if kind not in "iu" or (kind == "i" and (a < 0).any()):
+                raise ValueError(_NOT_WORDS)
+        elif not all(isinstance(v, (int, np.integer)) and v >= 0 for v in np.asarray(a, dtype=object).flat):
             raise ValueError(_NOT_WORDS)
         try:
             words.append(np.asarray(a, dtype=np.uint64))

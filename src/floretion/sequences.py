@@ -2,11 +2,16 @@
 detection.
 
 Tracking one basis word's coefficient through X, X**2, X**3, ... yields an
-exact rational sequence.  Because the order-n algebra is finite dimensional,
-such streams satisfy linear recurrences with constant coefficients; in
-order two the bound is degree four.  `find_recurrence` recovers the minimal
-one up to a requested order with one Berlekamp-Massey pass in exact
-arithmetic -- float fitting would misreport minimality, so none is used.
+exact rational sequence.  The order-n algebra tensored with the complex
+numbers is the algebra of 2**n x 2**n complex matrices, so the minimal
+polynomial of any element X has degree D <= 2**n, and every coefficient
+stream satisfies a linear recurrence with constant coefficients of order
+<= D.  `find_recurrence` recovers the minimal one up to a requested order
+with one Berlekamp-Massey pass in exact arithmetic -- float fitting would
+misreport minimality, so none is used.  Given 2D + 2 terms, that pass
+returns the stream's minimal recurrence for every m, not only for the
+terms it saw; `coeff_stream` therefore computes at most 2D + 2 powers and
+continues the stream by that recurrence.
 
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
@@ -26,17 +31,28 @@ from .words import parse_word
 
 
 def coeff_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
-    """Coefficients of `word` in x**1 .. x**m_max, exactly."""
+    """Coefficients of `word` in x**1 .. x**m_max, exactly.
+
+    The first min(m_max, 2D + 2) terms come from powers, D = 2**x.order;
+    later terms follow the recurrence `find_recurrence` finds in them,
+    which is proved for every m because D bounds the stream's order.
+    """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     w = parse_word(word, x.order)
-    out = []
+    degree = 2**x.order
+    head = []
     acc = x
-    for m in range(1, m_max + 1):
+    for m in range(1, min(m_max, 2 * degree + 2) + 1):
         if m > 1:
             acc = acc * x
-        out.append(acc.terms.get(w, Fraction(0)))
-    return out
+        head.append(acc.terms.get(w, Fraction(0)))
+    if m_max == len(head):
+        return head
+    rec = find_recurrence(head, degree)
+    if rec is None:
+        raise ArithmeticError(f"stream exceeds the degree bound {degree} of order {x.order}")
+    return head + rec.extend(head, m_max - len(head))
 
 
 @dataclass(frozen=True)

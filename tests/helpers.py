@@ -5,7 +5,7 @@ from fractions import Fraction
 from floretion.algebra import Element
 from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
-from floretion.words import DIGITS, word_mul
+from floretion.words import DIGITS, parse_word, word_mul
 
 
 def random_fraction(rng, lo=-4, hi=4, denominators=(1, 2, 3, 4)) -> Fraction:
@@ -84,3 +84,15 @@ def reference_recurrence(seq, max_order: int):
         if sol is not None:
             return Recurrence(tuple(sol))
     return None
+
+
+def reference_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
+    """Oracle for `coeff_stream`: one exact product per power."""
+    w = parse_word(word, x.order)
+    out = []
+    acc = x
+    for m in range(1, m_max + 1):
+        if m > 1:
+            acc = acc * x
+        out.append(acc.terms.get(w, Fraction(0)))
+    return out

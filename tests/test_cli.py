@@ -55,6 +55,7 @@ def test_mul_errors():
 
 # an exact coefficient beyond the range of a float
 _HUGE_COEFF = '{"order": 2, "terms": [{"word": "12", "coeff": "1e400"}]}'
+_SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
 
 
 @pytest.mark.parametrize(
@@ -84,12 +85,18 @@ _HUGE_COEFF = '{"order": 2, "terms": [{"word": "12", "coeff": "1e400"}]}'
         (["centralizer", "12", "--svg", "missing/x.svg"], None),
         (["seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "3", "--bfile", "missing/b.txt"], None),
         (["seq", "--preset", "fib", "--word", "ij", "--mmax", "3", "--bfile-parts", "missing/n.txt", "missing/d.txt"], None),
+        # sizes above the 4096 cap, rejected before any product
+        (["pow", "-", "-m", "4097"], _SMALL_ELEMENT),
+        (["coeff", "-", "12", "--power", "1000000000000"], _SMALL_ELEMENT),
+        (["seq", "--preset", "fib", "--seed", "1/3,2,-5/7", "--word", "ij", "--mmax", "4097"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "1000000000000"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
         "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
+        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -214,6 +221,12 @@ def test_seq_presets():
     assert r.stdout.strip() == "1 1 1 2 2 3 4 5 7 9 12"
     r = run_cli("seq", "--preset", "fib", "--word", "ij", "--mmax", "6")
     assert r.stdout.strip() == "1/2 1/2 1 3/2 5/2 4"
+    # the cap on --mmax is inclusive; four times the ik stream is Padovan
+    r = run_cli("seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "4096")
+    padovan = [1, 1, 1]
+    while len(padovan) < 4096:
+        padovan.append(padovan[-2] + padovan[-3])
+    assert r.returncode == 0 and r.stdout == " ".join(map(str, padovan)) + "\n"
 
 
 def test_seq_recurrence_output():
@@ -278,6 +291,24 @@ def test_bench_smoke():
     assert "cross-check   2000/2000 agree" in r.stdout
     assert "Element square order 4: 256 terms -> 256 terms in " in r.stdout
     assert "centralizer scan order 5" in r.stdout
+
+
+def test_bench_json_record(tmp_path):
+    args = ("bench", "--order", "3", "--iterations", "500", "--scan-order", "4")
+    out = tmp_path / "bench.json"
+    r = run_cli(*args, "--json", str(out))
+    assert r.returncode == 0
+    record = json.loads(out.read_text())
+    assert set(record["environment"]) >= {"python", "numpy", "cpu_count", "cpu_model", "commit"}
+    metrics = record["metrics"]
+    assert all(set(v) >= {"value", "unit"} for v in metrics.values())
+    assert metrics["cross_check_agree"] == {"value": 500, "unit": "products"}
+    assert metrics["centralizer_tiles_listed"]["value"] == 4**4 // 2
+    stream = metrics["coeff_stream_padovan_ik_200"]
+    assert stream["unit"] == "s" and stream["value"] == min(stream["runs_s"]) and len(stream["runs_s"]) == 3
+    # every printed number is in the record
+    assert f"coeff_stream padovan ik: 200 powers in {stream['value']:.4f} s" in r.stdout.splitlines()
+    assert f"word_mul      {metrics['word_mul']['value']:12.0f} products/s" in r.stdout.splitlines()
 
 
 def test_version():

@@ -17,8 +17,12 @@ from floretion.cli import main
 CASES = 300
 
 #: Replacements for a numeric argument or JSON value.  Nothing large:
-#: `pow -m` and `seq --mmax` have no size cap.
+#: `bench --iterations` has no size cap.
 NUMBERS = ["0", "-1", "nan", "x", "1/0", "1e400", ""]
+
+#: Options capped at 4096, and the large values they also draw.
+CAPPED_OPTIONS = {"-m", "--power", "--mmax"}
+LARGE = ["4097", "1000000000000"]
 
 #: Characters a mutated word gains: digits, letters, non-digits, signs, space.
 WORD_CHARS = "1247ijke03x-+ "
@@ -105,7 +109,8 @@ def mutate_argv(rng: random.Random, argv: list[str]) -> list[str]:
     words = [i for i in range(1, len(argv)) if i not in numeric and _WORD.fullmatch(argv[i])]
     kind = rng.randrange(3)
     if kind == 0 and numeric:
-        argv[rng.choice(numeric)] = rng.choice(NUMBERS)
+        i = rng.choice(numeric)
+        argv[i] = rng.choice(NUMBERS + LARGE if argv[i - 1] in CAPPED_OPTIONS else NUMBERS)
     elif kind == 1 and words:
         i = rng.choice(words)
         argv[i] = mutate_word(rng, argv[i])

@@ -123,6 +123,27 @@ def test_non_words_rejected_not_wrapped():
     assert unpack_words(np.array([], dtype=np.uint64), 3) == [] == unpack_words([], 3)
 
 
+def test_python_floats_rejected_not_truncated():
+    # floats outside numpy arrays used to truncate: [2.7] unpacked as '411'
+    bad = [
+        lambda: unpack_words([2.7], 3),
+        lambda: unpack_words([1, 2.0], 3),
+        lambda: unpack_words([[1], [2.5]], 3),
+        lambda: packed_mul_many(2.7, 1.0, 3),
+        lambda: packed_mul_many(5, 1.0, 3),
+        lambda: packed_mul_many([1, 2], [3, 0.5], 3),
+        lambda: unpack_words([np.int64(-1)], 32),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError, match="nonnegative integers below 2\\*\\*64"):
+            call()
+    # bool is an int; Python ints across 2**63 and numpy ints still work
+    signs, prods = packed_mul_many(True, [5, 2**63 >> 58], 3)
+    assert prods.tolist() == packed_mul_many(np.array(1), np.array([5, 32]), 3)[1].tolist()
+    assert signs.tolist() == packed_mul_many(1, [5, 32], 3)[0].tolist()
+    assert unpack_words([5, 2**63, np.uint64(7)], 32) == [unpack_word(w, 32) for w in (5, 2**63, 7)]
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         lane_masks(0)

@@ -16,7 +16,15 @@ from floretion.sequences import (
     padovan_elements,
     write_b_file,
 )
-from helpers import random_element, random_fraction, random_word, reference_recurrence
+from floretion.words import all_words
+from helpers import (
+    _solve_exact,
+    random_element,
+    random_fraction,
+    random_word,
+    reference_recurrence,
+    reference_stream,
+)
 
 F = Fraction
 
@@ -154,7 +162,7 @@ def _oracle_cases(rng):
         yield [F(int(rng.random() < p)) for _ in range(total)], max_order
     for _ in range(30):
         x = random_element(rng, rng.choice((2, 3)))
-        stream = coeff_stream(x, random_word(rng, x.order), 18)
+        stream = reference_stream(x, random_word(rng, x.order), 18)
         for max_order in range(1, 9):
             yield stream, max_order
 
@@ -185,18 +193,67 @@ def test_order_two_streams_admit_order_four_recurrences():
     for _ in range(5):
         x = Element(2, {w: random_fraction(rng, -3, 3, (1, 2)) for w in rng.sample(words2, 6)})
         for u in words2:
-            assert find_recurrence(coeff_stream(x, u, 20), 4) is not None
+            assert find_recurrence(reference_stream(x, u, 20), 4) is not None
 
 
 def test_padovan_recurrence_consistent_on_all_tracked_words():
     _, _, y = padovan_elements()
     words2 = ["".join(t) for t in product("1247", repeat=2)]
     for u in words2:
-        stream = coeff_stream(y, u, 20)
+        stream = reference_stream(y, u, 20)
         rec = find_recurrence(stream[:12], 4)
         assert rec is not None and rec.order <= 3
         # detected rule reproduces the longer exact stream
         assert rec.extend(stream[:12], 8) == stream[12:]
+
+
+def test_degree_bound_minimal_polynomial():
+    # x**D lies in the span of 1, x, ..., x**(D-1) for D = 2**n: the bound
+    # that lets coeff_stream continue a stream by its recurrence
+    rng = random.Random(20261019)
+    for n in (1, 2, 3):
+        degree = 2**n
+        words = list(all_words(n))
+        for trial in range(12):
+            if trial < 3:  # dense: every word, rational coefficients
+                x = Element(n, {w: random_fraction(rng) for w in words})
+            else:
+                x = random_element(rng, n, max_terms=rng.randint(1, 8))
+            powers = [Element.one(n)]
+            for _ in range(degree):
+                powers.append(powers[-1] * x)
+            rows = [[p.coeff(w) for p in powers] for w in words]
+            assert _solve_exact([r[:degree] for r in rows], [r[degree] for r in rows]) is not None, (n, x)
+            if trial < 3:  # and the bound is reached: x**(D-1) is not in the lower span
+                assert _solve_exact([r[: degree - 1] for r in rows], [r[degree - 1] for r in rows]) is None, (n, x)
+
+
+def _stream_cases(rng):
+    """(element, word) pairs: seeded random elements of orders 1-3 and a few
+    of order 4, both presets on every word, seeded rational Fibonacci seeds."""
+    for n, count in ((1, 12), (2, 12), (3, 10), (4, 3)):
+        for _ in range(count):
+            x = random_element(rng, n, max_terms=rng.randint(1, 6))
+            yield x, rng.choice(sorted(x.terms) or ["7" * n])
+            yield x, random_word(rng, n)
+    words2 = ["".join(t) for t in product("1247", repeat=2)]
+    for x in (padovan_elements()[2], fibonacci_elements()[2]):
+        for u in words2:
+            yield x, u
+    for _ in range(6):
+        _, _, z = fibonacci_elements(*(random_fraction(rng, -4, 4, (1, 2, 3, 5)) for _ in range(3)))
+        yield z, rng.choice(words2)
+
+
+def test_coeff_stream_matches_reference_stream():
+    # every stream length around the 2D + 2 powers, and long streams
+    rng = random.Random(20261020)
+    for x, word in _stream_cases(rng):
+        head = 2 * 2**x.order + 2
+        m_top = 200 if x.order < 4 else 60
+        ref = reference_stream(x, word, m_top)
+        for m in sorted({1, 2, head - 1, head, head + 1, head + 2, rng.randint(1, m_top), m_top}):
+            assert coeff_stream(x, word, m) == ref[:m], (x, word, m)
 
 
 def test_write_b_file():
