@@ -18,7 +18,9 @@ dict of Python-int sums instead, with no numpy call at all.
 
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
-identically.
+identically.  The constructor is the one term builder; sums, `map_basis` and
+the JSON reader pass it unsummed (word, coefficient) pairs, and results
+canonical by construction skip it through `Element._canonical`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Mapping
+from itertools import chain, product
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -64,17 +66,17 @@ class Element:
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: int, terms: Mapping[str, Fraction | int | str] | None = None):
+    def __init__(self, order: int, terms: Mapping[str, Fraction | int | str] | Iterable[tuple[str, Fraction | int | str]] | None = None):
+        """Terms from a mapping or (word, coefficient) pairs in one pass: each word parsed
+        and each coefficient made a Fraction once, repeated words summed, zero sums dropped."""
         check_order(order)
         clean: dict[str, Fraction] = {}
         if terms:
-            for word, coeff in terms.items():
+            for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
                 q = Fraction(coeff)
-                if q == 0:
-                    continue
                 w = parse_word(word, order)
-                clean[w] = clean.get(w, Fraction(0)) + q
-            clean = {w: q for w, q in clean.items() if q != 0}
+                clean[w] = clean[w] + q if w in clean else q
+            clean = {w: q for w, q in clean.items() if q}
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
 
@@ -105,7 +107,7 @@ class Element:
 
     def coeff(self, word: str) -> Fraction:
         """Coefficient of a basis word (zero when absent)."""
-        return self.terms.get(parse_word(word, self.order), Fraction(0))
+        return Fraction(self.terms.get(parse_word(word, self.order), 0))
 
     def support(self) -> list[str]:
         """Words with nonzero coefficient, in canonical order."""
@@ -137,10 +139,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_order(other)
-        out = dict(self.terms)
-        for w, q in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + q
-        return Element(self.order, out)
+        return Element(self.order, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Element":
         return Element._canonical(self.order, {w: -q for w, q in self.terms.items()})
@@ -151,8 +150,8 @@ class Element:
         return self + (-other)
 
     def scaled(self, c: Fraction | int | str) -> "Element":
-        c = Fraction(c)
-        return Element(self.order, {w: c * q for w, q in self.terms.items()})
+        c = Fraction(c)  # nonzero multiples of canonical terms are canonical
+        return Element._canonical(self.order, {w: c * q for w, q in self.terms.items()} if c else {})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -178,8 +177,6 @@ class Element:
             return NotImplemented
         self._require_same_order(other)
         n = self.order
-        if not self.terms or not other.terms:
-            return Element(n, {})
         xs, xnum, xden = _numerators(self.terms)
         ys, ynum, yden = _numerators(other.terms)
         if len(xs) * len(ys) <= _PYTHON_PAIRS:
@@ -259,11 +256,7 @@ class Element:
 
     def map_basis(self, word_map: Callable[[str], str]) -> "Element":
         """Relabel basis words through `word_map`, carrying coefficients."""
-        out: dict[str, Fraction] = {}
-        for w, q in self.terms.items():
-            nw = word_map(w)
-            out[nw] = out.get(nw, Fraction(0)) + q
-        return Element(self.order, out)
+        return Element(self.order, ((word_map(w), q) for w, q in self.terms.items()))
 
 
 def _numerators(terms: Mapping[str, Fraction]) -> tuple[list[int], list[int], int]:
@@ -325,17 +318,19 @@ def element_from_dict(data) -> Element:
         raise ValueError(f'"order" must be an integer, got {order!r}')
     if not isinstance(entries, list):
         raise ValueError(f'"terms" must be a list, got {type(entries).__name__}')
-    terms: dict[str, Fraction] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
-            raise ValueError(f'term entries need "word" and "coeff": {entry!r}')
-        w = parse_word(str(entry["word"]), order)
-        try:
-            q = Fraction(str(entry["coeff"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid coefficient {entry['coeff']!r}: {exc}") from None
-        terms[w] = terms.get(w, Fraction(0)) + q
-    return Element(order, terms)
+    return Element(order, map(_json_term, entries))
+
+
+def _json_term(entry) -> tuple[str, Fraction]:
+    """A checked "terms" entry as a (word, coefficient) pair.  The constructor
+    pulls entries one at a time, so the first faulty entry is the one reported."""
+    if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
+        raise ValueError(f'term entries need "word" and "coeff": {entry!r}')
+    try:
+        q = Fraction(str(entry["coeff"]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid coefficient {entry['coeff']!r}: {exc}") from None
+    return str(entry["word"]), q
 
 
 def element_to_json(x: Element) -> str:

@@ -63,7 +63,9 @@ def pack_word(word: str) -> int:
 def unpack_word(bits: int, n: int) -> str:
     """Unpack a lane integer of order n back to its digit word."""
     full, _ = lane_masks(n)
-    if bits & ~full or bits < 0:
+    if not isinstance(bits, int) or bits < 0:
+        raise ValueError(_NOT_WORDS)
+    if bits & ~full:
         raise ValueError(f"stray bits above lane {2 * n} in {bits:#x}")
     return "".join(CODE_DIGIT[(bits >> (_LANE_WIDTH * r)) & 3] for r in range(n))
 
@@ -130,11 +132,13 @@ def packed_mul_pairs(xs, ys, n: int) -> list[tuple[int, int]]:
     plain Python ints: a list of (sign, product) with sign +1 or -1.
 
     `packed_mul_many`'s lane formula without numpy, for batches of a few
-    hundred pairs.  Raises ValueError when an input is negative
-    or has bits above lane 2n.
+    hundred pairs.  Raises ValueError when an input is not a nonnegative
+    int or has bits above lane 2n.
     """
     full, lo = lane_masks(n)
-    if any(w < 0 or w & ~full for w in (*xs, *ys)):
+    if not all(isinstance(w, int) and w >= 0 for w in (*xs, *ys)):
+        raise ValueError(_NOT_WORDS)
+    if any(w & ~full for w in (*xs, *ys)):
         raise ValueError(f"stray bits above lane {2 * n}")
     return [(-1 if (_odd_lanes(x, y, lo).bit_count() + n) & 1 else 1, ~(x ^ y) & full) for x in xs for y in ys]
 

@@ -141,12 +141,7 @@ def fibonacci_elements(
     a(m) = -a*a(m-1) - b*c*a(m-2).  The defaults (-1, 1, -1) make that the
     Fibonacci rule; the ij stream is then half the Fibonacci numbers.
     """
-    quarter = Fraction(1, 4)
-    mixer = Element(
-        2,
-        {"17": quarter, "71": quarter, "11": quarter, "22": quarter,
-         "44": quarter, "24": quarter, "42": quarter, "77": quarter},
-    )
+    mixer = Element(2, dict.fromkeys(("17", "71", "11", "22", "44", "24", "42", "77"), Fraction(1, 4)))
     seed = Element(2, {"71": Fraction(a), "72": Fraction(b), "74": Fraction(c)})
     return mixer, seed, mixer * seed
 

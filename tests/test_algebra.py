@@ -53,6 +53,38 @@ def test_letters_accepted_in_terms():
     assert Element(2, {"ij": 1}) == Element(2, {"12": 1})
 
 
+def test_constructor_pairs_match_mapping():
+    # "12", "ij" and "1j" spell one word; "44" and "kk" cancel; int, str and
+    # Fraction coefficients
+    pairs = [("12", 1), ("ij", F(1, 2)), ("44", 2), ("1j", "1/3"), ("kk", -2), ("77", "-5/7")]
+    expect = {"12": F(11, 6), "77": F(-5, 7)}
+    for terms in (pairs, dict(pairs), (p for p in pairs)):
+        x = Element(2, terms)
+        assert x.terms == expect
+        assert all(type(q) is Fraction for q in x.terms.values())
+    assert Element(2, [("12", 1), ("ij", F(-1, 2)), ("1j", "-1/2")]).terms == {}
+    assert Element(2, [("12", 0), ("77", 0)]).terms == {}
+    zero = Element.zero(2)
+    for x in (Element(2), Element(2, {}), Element(2, None), Element(2, []), Element(2, iter(()))):
+        assert x == zero and x.terms == {} and x.is_zero()
+    with pytest.raises(ValueError):
+        Element(2, [("12", 1), ("123", 1)])
+
+
+def test_scaled_and_relabeled_terms():
+    rng = random.Random(9)
+    for n in (1, 2, 3):
+        x = random_element(rng, n)
+        assert x.scaled(0).terms == {} and (0 * x).is_zero()
+        y = x.scaled("2/3")
+        assert y.terms == {w: F(2, 3) * q for w, q in x.terms.items()}
+        assert all(type(q) is Fraction for q in y.terms.values())
+        assert x.scaled(F(-1)) == -x
+        # a map sending words together adds their coefficients
+        total = sum(x.terms.values())
+        assert x.map_basis(lambda w: "7" * n).terms == ({"7" * n: total} if total else {})
+
+
 def test_mul_examples():
     ii = Element(2, {"11": 1})
     assert ii * ii == Element(2, {"77": 1})
@@ -290,6 +322,14 @@ def test_json_roundtrip_and_canonical_order():
 def test_json_accepts_letters():
     x = element_from_json('{"order": 2, "terms": [{"word": "ij", "coeff": "1/3"}]}')
     assert x == Element(2, {"12": F(1, 3)})
+
+
+def test_json_repeated_terms_add_up():
+    entries = [("12", "1/2"), ("ij", 1), ("44", "2"), ("kk", -2), ("12", "1/3")]
+    text = json.dumps({"order": 2, "terms": [{"word": w, "coeff": c} for w, c in entries]})
+    x = element_from_json(text)
+    assert x.terms == {"12": F(11, 6)}
+    assert element_to_json(x) == '{"order": 2, "terms": [{"word": "12", "coeff": "11/6"}]}'
 
 
 def test_json_errors():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import floretion
+from floretion import cli
 from floretion.algebra import Element, element_from_json, element_to_json
+from floretion.sequences import coeff_stream, fibonacci_elements, find_recurrence, padovan_elements
+from helpers import random_element, random_word
 
 # the child runs the same package the tests import, installed or not
 _SRC = str(Path(floretion.__file__).resolve().parent.parent)
@@ -76,6 +80,7 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "10", "--recurrence", "--max-order", "0"], None),
         (["bench", "--scan-order", "13"], None),
         (["bench", "--scan-order", "-1"], None),
+        (["bench", "--iterations", "1000001"], None),
         # argparse rejects the removed --rng-seed flag
         (["bench", "--rng-seed", "1"], None),
         (["pow", "-", "-m", "2"], "[" * 200_000 + "]" * 200_000),
@@ -94,7 +99,7 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
-        "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
+        "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
         "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge",
     ],
@@ -233,6 +238,45 @@ def test_seq_recurrence_output():
     r = run_cli("seq", "--preset", "fib", "--word", "ij", "--mmax", "10", "--recurrence", "--max-order", "2")
     lines = r.stdout.strip().splitlines()
     assert lines[1] == "a(m) = 1*a(m-1) + 1*a(m-2)"
+
+
+def _latest_word(x):
+    """The word that first appears in the latest power of x: its stream
+    starts with the longest run of zeros, which a short prefix misreads."""
+    first, acc = {}, x
+    for m in range(1, 2 * 2**x.order + 3):
+        for w in acc.terms:
+            first.setdefault(w, m)
+        acc = acc * x
+    return max(first, key=first.get)
+
+
+def test_seq_recurrence_searches_a_deciding_prefix(tmp_path, capsys):
+    # `seq --recurrence` searches only the first 2 * max(D, max-order) + 2
+    # terms; its answer must equal a search over the whole printed stream
+    rng = random.Random(44)
+    streams = [(padovan_elements()[2], "14"), (fibonacci_elements(Fraction(1, 3), 2, Fraction(-5, 7))[2], "12")]
+    # the 171 stream of this element is zero up to x**5, so a search over
+    # fewer than 2D + 2 terms finds the rule a(m) = 0 for small --max-order
+    late = Element(3, {"127": 1, "472": -2, "772": Fraction(-1, 3), "421": Fraction(2, 3), "224": -1})
+    assert coeff_stream(late, "171", 6) == [0] * 5 + [Fraction(-64, 9)]
+    streams.append((late, "171"))
+    for n in (1, 2, 3):
+        for _ in range(3):
+            x = random_element(rng, n, max_terms=5)
+            streams += [(x, random_word(rng, n)), (x, _latest_word(x))]
+    path = tmp_path / "x.json"
+    for x, word in streams:
+        path.write_text(element_to_json(x))
+        d = 2**x.order
+        for mmax in (2 * d + 1, 2 * d + 2, 2 * d + 3, 60):
+            stream = coeff_stream(x, word, mmax)
+            for k in range(1, min(d + 1, (mmax - 2) // 2) + 1):
+                argv = ["seq", "--element", str(path), "--word", word, "--mmax", str(mmax), "--recurrence", "--max-order", str(k)]
+                assert cli.main(argv) == 0
+                rec = find_recurrence(stream, k)
+                expect = f"no recurrence of order <= {k}" if rec is None else str(rec)
+                assert capsys.readouterr().out == " ".join(map(str, stream)) + "\n" + expect + "\n", (x, word, argv)
 
 
 def test_seq_element_source(tmp_path):

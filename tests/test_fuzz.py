@@ -16,12 +16,13 @@ from floretion.cli import main
 
 CASES = 300
 
-#: Replacements for a numeric argument or JSON value.  Nothing large:
-#: `bench --iterations` has no size cap.
+#: Replacements for a numeric argument or JSON value.  Nothing large: only
+#: the options in CAPPED_OPTIONS reject large sizes before doing any work.
 NUMBERS = ["0", "-1", "nan", "x", "1/0", "1e400", ""]
 
-#: Options capped at 4096, and the large values they also draw.
-CAPPED_OPTIONS = {"-m", "--power", "--mmax"}
+#: Options with a size cap (4096, and 1,000,000 for `bench --iterations`),
+#: and the large values they also draw.
+CAPPED_OPTIONS = {"-m", "--power", "--mmax", "--iterations"}
 LARGE = ["4097", "1000000000000"]
 
 #: Characters a mutated word gains: digits, letters, non-digits, signs, space.

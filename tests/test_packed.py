@@ -133,6 +133,10 @@ def test_python_floats_rejected_not_truncated():
         lambda: packed_mul_many(5, 1.0, 3),
         lambda: packed_mul_many([1, 2], [3, 0.5], 3),
         lambda: unpack_words([np.int64(-1)], 32),
+        # the plain-int paths reject floats and negatives with the same message
+        lambda: packed_mul_pairs([2.7], [1], 3),
+        lambda: unpack_word(2.7, 3),
+        lambda: unpack_word(-1, 3),
     ]
     for call in bad:
         with pytest.raises(ValueError, match="nonnegative integers below 2\\*\\*64"):
