@@ -12,9 +12,8 @@ become integer numerators over one common denominator per side, and
 `packed_mul_many` multiplies bounded blocks of term pairs.  The signed
 numerator products are summed per product word (with `np.add.at` up to
 order 7, by sorting each block above) in int64 when no sum can reach 2**62
-and in Python ints otherwise, so the result is exact either way.
-Products of at most `_PYTHON_PAIRS` term pairs use `packed_mul_pairs` and a
-dict of Python-int sums instead, with no numpy call at all.
+and in Python ints otherwise, so the result is exact either way.  Every
+nonzero product takes this one path, however few its term pairs.
 
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
@@ -34,7 +33,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import packed
-from .packed import pack_word, unpack_word, unpack_words
+from .packed import pack_word, unpack_words
 from .words import (
     check_order,
     format_word,
@@ -49,12 +48,6 @@ _BLOCK_PAIRS = 1 << 14
 
 #: Integer sums stay in int64 while no partial sum can reach this.
 _INT64_LIMIT = 1 << 62
-
-#: Products of at most this many term pairs skip numpy.  Numpy's fixed cost
-#: per call is most of the time of such a product, and it speeds up and slows
-#: down with the host differently from interpreted code; without it a small
-#: product's time follows the interpreter alone.
-_PYTHON_PAIRS = 256
 
 
 class Element:
@@ -168,8 +161,7 @@ class Element:
         `_BLOCK_PAIRS`, else block sums fold into one sorted (word, sum)
         pair of arrays.  Memory never follows the pair count.  Numerator
         sums are int64 when max|num x| * max|num y| * min(|x|, |y|) <
-        2**62, else Python ints.  Products of at most `_PYTHON_PAIRS`
-        pairs run in plain Python (`_small_product`).
+        2**62, else Python ints.  A zero operand gives zero at once.
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -177,10 +169,10 @@ class Element:
             return NotImplemented
         self._require_same_order(other)
         n = self.order
+        if not (self.terms and other.terms):
+            return Element.zero(n)
         xs, xnum, xden = _numerators(self.terms)
         ys, ynum, yden = _numerators(other.terms)
-        if len(xs) * len(ys) <= _PYTHON_PAIRS:
-            return _small_product(xs, xnum, ys, ynum, xden * yden, n)
         xs = np.array(xs, dtype=np.uint64)
         ys = np.array(ys, dtype=np.uint64)
         # For a fixed left word and product word the right word is fixed, so
@@ -264,17 +256,6 @@ def _numerators(terms: Mapping[str, Fraction]) -> tuple[list[int], list[int], in
     that denominator."""
     den = math.lcm(*(q.denominator for q in terms.values()))
     return [pack_word(w) for w in terms], [q.numerator * (den // q.denominator) for q in terms.values()], den
-
-
-def _small_product(xs: list[int], xnum: list[int], ys: list[int], ynum: list[int], den: int, n: int) -> Element:
-    """The product for few term pairs, in Python ints throughout: signed
-    numerator products summed per packed product word in a dict."""
-    sums: dict[int, int] = {}
-    vals = (a * b for a in xnum for b in ynum)
-    for (sign, z), v in zip(packed.packed_mul_pairs(xs, ys, n), vals):
-        sums[z] = sums.get(z, 0) + (v if sign > 0 else -v)
-    terms = {unpack_word(z, n): Fraction(sums[z], den) for z in sorted(sums) if sums[z]}
-    return Element._canonical(n, terms)
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,10 +30,18 @@ from dataclasses import dataclass
 from .algebra import Element
 from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_word, word_mul
 
-#: Tile listings are capped here: an order-12 word has 8.4M tiles, a few
-#: seconds of work and the largest listing this package signs up for.
-#: Counts have no cap.
+#: Tile listings are capped here.  An order-n word has 4**n / 2 tiles and
+#: the identity word all 4**n: at order 12 that is 16.8M tiles, 3.8 s and a
+#: 1.5 GB peak in process on a 2-vCPU x86-64 host (8.4M tiles, 2.7 s and
+#: 903 MB for any other word), the largest listing this package signs up
+#: for.  Counts have no cap.
 SCAN_MAX_ORDER = 12
+
+#: `check_vanishing` multiplies two sums of 4**(n-1) words, so each order
+#: costs about 16 times the one below.  On a 2-vCPU x86-64 host, CLI calls
+#: took 0.9 s at order 7 and 60 s (40 MB peak) at order 8; order 9 would
+#: take about a quarter of an hour.
+VANISHING_MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -136,9 +144,12 @@ def check_vanishing(word: str) -> bool:
     """Whether both mixed products of the component sums vanish.
 
     Requires the base word to square to the identity, i.e. an even count of
-    non-7 digits; words squaring to minus the identity are rejected.
+    non-7 digits; words squaring to minus the identity are rejected, and so
+    are words above `VANISHING_MAX_ORDER`.
     """
     w = parse_word(word)
+    if len(w) > VANISHING_MAX_ORDER:
+        raise ValueError(f"the vanishing check supports order <= {VANISHING_MAX_ORDER}; got {len(w)}")
     if noncentral_count(w) % 2:
         raise ValueError(
             f"{w!r} squares to minus the identity (odd non-7 digit count); the vanishing identity needs a square equal to the identity"

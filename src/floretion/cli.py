@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
-from .centralizer import SCAN_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
+from .centralizer import SCAN_MAX_ORDER, VANISHING_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
 from .packed import lane_masks, packed_mul_many, unpack_words
-from .render import render_tiling
+from .render import _check_limits, render_tiling
 from .sequences import (
     coeff_stream,
     fibonacci_elements,
@@ -187,6 +187,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_centralizer(args) -> int:
     w = parse_word(args.word)
+    if args.svg is not None:
+        _check_limits(len(w), args.r0)
     if args.count_only and args.svg is None:
         counts, parts = centralizer_counts(w), ((), ())
     else:
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_centralizer)
 
     p = sub.add_parser("vanishing", help="check the component-sum cancellation for a word squaring to the identity")
-    p.add_argument("word")
+    p.add_argument("word", help=f"order at most {VANISHING_MAX_ORDER}; each order costs about 16 times the one below")
     p.set_defaults(func=_cmd_vanishing)
 
     p = sub.add_parser(

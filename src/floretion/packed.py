@@ -17,14 +17,12 @@ them preserves the parity of the full sum, since popcounts add mod 2 under
 XOR).  The kernel is locked against the digitwise reference by an exhaustive
 oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 
-`_odd_lanes` is the one copy of that formula.  `packed_mul_many` runs it on
-numpy arrays, a whole batch of word pairs per call, with numpy-scalar masks
-(with Python-int masks the formula takes about 30% longer);
-`packed_mul_pairs` runs it on Python ints, for batches of a few hundred
-pairs, where numpy's fixed cost per call is most of the time.
-`unpack_words` decodes a batch of packed words in one pass.  Negative or
-oversized words and floats, in arrays or not, raise ValueError instead of
-wrapping or truncating.
+`packed_mul_many` holds the one copy of that formula and runs it on numpy
+arrays, a whole batch of word pairs per call, with numpy-scalar masks (with
+Python-int masks the formula takes about 30% longer); every `Element`
+product goes through it.  `unpack_words` decodes a batch of packed words in
+one pass.  Negative or oversized words and floats, in arrays or not, raise
+ValueError instead of wrapping or truncating.
 """
 
 from __future__ import annotations
@@ -95,12 +93,16 @@ def packed_mul_many(xs, ys, n: int):
     uint64.  Raises ValueError when an input is not a nonnegative integer
     or has bits above lane 2n.
     """
-    full, lo = lane_masks(n)
+    full, lo = map(np.uint64, lane_masks(n))
     xs, ys = _packed_words(n, xs, ys)
+    # t1 ^ t2 ^ t3 of the module docstring at the low bit of each lane
+    ax, bx, ay, by = (xs >> 1) & lo, xs & lo, (ys >> 1) & lo, ys & lo
+    odd = (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)
+    del ax, bx, ay, by  # a batch's peak memory stays that of the lane formula
     # bitwise_count yields uint8; n <= 32 keeps the sum well below overflow
-    parity = (np.bitwise_count(_odd_lanes(xs, ys, np.uint64(lo))) + np.uint8(n)) & np.uint8(1)
+    parity = (np.bitwise_count(odd) + np.uint8(n)) & np.uint8(1)
     signs = np.int8(1) - np.int8(2) * parity.astype(np.int8)
-    return signs, ~(xs ^ ys) & np.uint64(full)
+    return signs, ~(xs ^ ys) & full
 
 
 def _packed_words(n: int, *arrays) -> list[np.ndarray]:
@@ -126,28 +128,3 @@ def _packed_words(n: int, *arrays) -> list[np.ndarray]:
         raise ValueError(f"stray bits above lane {2 * n}")
     return words
 
-
-def packed_mul_pairs(xs, ys, n: int) -> list[tuple[int, int]]:
-    """Products of every pair (x, y) of packed order-n words, x-major, in
-    plain Python ints: a list of (sign, product) with sign +1 or -1.
-
-    `packed_mul_many`'s lane formula without numpy, for batches of a few
-    hundred pairs.  Raises ValueError when an input is not a nonnegative
-    int or has bits above lane 2n.
-    """
-    full, lo = lane_masks(n)
-    if not all(isinstance(w, int) and w >= 0 for w in (*xs, *ys)):
-        raise ValueError(_NOT_WORDS)
-    if any(w & ~full for w in (*xs, *ys)):
-        raise ValueError(f"stray bits above lane {2 * n}")
-    return [(-1 if (_odd_lanes(x, y, lo).bit_count() + n) & 1 else 1, ~(x ^ y) & full) for x in xs for y in ys]
-
-
-def _odd_lanes(x, y, lo):
-    """t1 ^ t2 ^ t3 of the module docstring at the low bit of each lane, for
-    Python ints or uint64 arrays (then `lo` must be a numpy scalar)."""
-    ax = (x >> 1) & lo
-    bx = x & lo
-    ay = (y >> 1) & lo
-    by = y & lo
-    return (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)

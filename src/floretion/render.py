@@ -36,6 +36,14 @@ def _fmt(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _check_limits(n: int, r0: float) -> None:
+    """ValueError unless `render_tiling` takes depth n and circumradius r0."""
+    if not 1 <= n <= RENDER_MAX_DEPTH:
+        raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"circumradius must be positive and finite, got {r0}")
+
+
 def render_tiling(
     n: int,
     r0: float = DEFAULT_R0,
@@ -48,10 +56,7 @@ def render_tiling(
     `extra_classes` maps words to one additional polygon class each; words
     absent from the tiling are ignored.
     """
-    if not 1 <= n <= RENDER_MAX_DEPTH:
-        raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
-    if not 0 < r0 < math.inf:
-        raise ValueError(f"circumradius must be positive and finite, got {r0}")
+    _check_limits(n, r0)
     extra = dict(extra_classes or {})
 
     half_width = r0 * math.sqrt(3.0) / 2.0

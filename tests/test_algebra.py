@@ -3,12 +3,10 @@
 import json
 import math
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from floretion import algebra
 from floretion.algebra import (
     Element,
     element_from_json,
@@ -101,35 +99,10 @@ def test_mul_scalar():
 
 
 def _assert_mul_exact(x, y):
-    # both product paths, numpy blocks and plain Python, whatever the size
-    expect = reference_mul(x, y)
-    for limit in (0, math.inf):
-        with _python_pairs(limit):
-            z = x * y
-        assert z == expect
-        assert all(type(q) is Fraction and q != 0 for q in z.terms.values())
-        assert list(z.terms) == sorted(z.terms, key=pack_word)
-
-
-@contextmanager
-def _python_pairs(limit):
-    """Products of at most `limit` term pairs take the plain-Python path."""
-    saved = algebra._PYTHON_PAIRS
-    algebra._PYTHON_PAIRS = limit
-    try:
-        yield
-    finally:
-        algebra._PYTHON_PAIRS = saved
-
-
-def test_mul_paths_meet_at_the_limit():
-    # the largest product on the plain-Python path and the smallest on numpy
-    rng = random.Random(256)
-    limit = algebra._PYTHON_PAIRS
-    for k in (limit // 16, limit // 16 + 1):
-        x = Element(4, {unpack_word(v, 4): random_fraction(rng, denominators=_MIXED) for v in rng.sample(range(256), k)})
-        y = Element(4, {unpack_word(v, 4): random_fraction(rng, denominators=_MIXED) for v in rng.sample(range(256), 16)})
-        assert x * y == reference_mul(x, y)
+    z = x * y
+    assert z == reference_mul(x, y)
+    assert all(type(q) is Fraction and q != 0 for q in z.terms.values())
+    assert list(z.terms) == sorted(z.terms, key=pack_word)
 
 
 #: Denominators with no common factor, so the common denominators differ per side.
@@ -138,15 +111,16 @@ _MIXED = (1, 2, 3, 5, 7, 9, 11)
 
 def test_mul_matches_reference_sparse_and_dense():
     rng = random.Random(20261018)
-    for n in range(1, 6):
+    # order 7 is the largest summed into one slot per word, 8 and 32 sum by sorting
+    for n in (1, 2, 3, 4, 5, 7, 8, 32):
         for _ in range(8):
             x = random_element(rng, n, max_terms=10)
             y = Element(n, {random_word(rng, n): random_fraction(rng, denominators=_MIXED) for _ in range(6)})
-            _assert_mul_exact(x, y)
-            _assert_mul_exact(y, x)
-            _assert_mul_exact(x, -x)
-            _assert_mul_exact(Element.zero(n), x)
-            _assert_mul_exact(x, Element.zero(n))
+            single = Element(n, {random_word(rng, n): random_fraction(rng, 1, 9, _MIXED)})
+            for a, b in ((x, y), (x, -x), (single, y), (Element.one(n), x), (Element.zero(n), x)):
+                _assert_mul_exact(a, b)
+                _assert_mul_exact(b, a)
+        _assert_mul_exact(Element.zero(n), Element.zero(n))
     for n in range(1, 5):
         dense = Element(n, {w: random_fraction(rng, -9, 9, _MIXED) for w in all_words(n)})
         _assert_mul_exact(dense, dense)

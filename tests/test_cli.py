@@ -95,13 +95,15 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["coeff", "-", "12", "--power", "1000000000000"], _SMALL_ELEMENT),
         (["seq", "--preset", "fib", "--seed", "1/3,2,-5/7", "--word", "ij", "--mmax", "4097"], None),
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "1000000000000"], None),
+        # order 9 squares to the identity but is above the vanishing cap
+        (["vanishing", "121212127"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
         "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
-        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge",
+        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-9",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -110,6 +112,19 @@ def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [["777777777", "--svg", "x.svg"], ["12", "--svg", "x.svg", "--r0", "nan"]])
+def test_centralizer_svg_limits_checked_before_listing(argv, monkeypatch, capsys, tmp_path):
+    def listing(word):
+        raise AssertionError("tiles listed before the render limits were checked")
+
+    monkeypatch.setattr(cli, "centralizer_tiles", listing)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["centralizer", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_pow_coeff_split_roundtrip(tmp_path):

@@ -11,7 +11,6 @@ from floretion.packed import (
     pack_word,
     packed_identity,
     packed_mul_many,
-    packed_mul_pairs,
     unpack_word,
     unpack_words,
 )
@@ -133,8 +132,7 @@ def test_python_floats_rejected_not_truncated():
         lambda: packed_mul_many(5, 1.0, 3),
         lambda: packed_mul_many([1, 2], [3, 0.5], 3),
         lambda: unpack_words([np.int64(-1)], 32),
-        # the plain-int paths reject floats and negatives with the same message
-        lambda: packed_mul_pairs([2.7], [1], 3),
+        # the plain-int path rejects floats and negatives with the same message
         lambda: unpack_word(2.7, 3),
         lambda: unpack_word(-1, 3),
     ]
@@ -163,28 +161,6 @@ def test_batch_kernel_matches_scalar():
         signs, prods = packed_mul_many(xs, ys, n)
         for x, y, s, p in zip(xs.tolist(), ys.tolist(), signs.tolist(), prods.tolist()):
             assert (s, unpack_word(p, n)) == word_mul(unpack_word(x, n), unpack_word(y, n))
-
-
-def test_plain_int_pairs_match_batch_kernel():
-    # every pair up to n = 4, then seeded words up to n = 32
-    for n in (1, 2, 3, 4):
-        words = list(range(4**n))
-        signs, prods = packed_mul_many(np.array(words)[:, None], np.array(words)[None, :], n)
-        assert packed_mul_pairs(words, words, n) == list(zip(signs.ravel().tolist(), prods.ravel().tolist()))
-    rng = random.Random(32)
-    for n in (5, 9, 16, 32):
-        xs = [rng.randint(0, 4**n - 1) for _ in range(40)]
-        ys = [rng.randint(0, 4**n - 1) for _ in range(30)]
-        signs, prods = packed_mul_many(np.array(xs, dtype=np.uint64)[:, None], np.array(ys, dtype=np.uint64)[None, :], n)
-        assert packed_mul_pairs(xs, ys, n) == list(zip(signs.ravel().tolist(), prods.ravel().tolist()))
-    assert packed_mul_pairs([], [1, 2], 2) == []
-
-
-def test_plain_int_pairs_reject_stray_bits():
-    with pytest.raises(ValueError):
-        packed_mul_pairs([1 << 6], [0], 3)
-    with pytest.raises(ValueError):
-        packed_mul_pairs([0], [0, -1], 3)
 
 
 def test_batch_kernel_broadcasts():
