@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import packed
-from .packed import pack_word, unpack_words
+from .packed import pack_word, pack_words, unpack_words
 from .words import (
     check_order,
     format_word,
@@ -171,10 +171,8 @@ class Element:
         n = self.order
         if not (self.terms and other.terms):
             return Element.zero(n)
-        xs, xnum, xden = _numerators(self.terms)
-        ys, ynum, yden = _numerators(other.terms)
-        xs = np.array(xs, dtype=np.uint64)
-        ys = np.array(ys, dtype=np.uint64)
+        xs, xnum, xden = _numerators(self.terms, n)
+        ys, ynum, yden = _numerators(other.terms, n)
         # For a fixed left word and product word the right word is fixed, so
         # each product word gathers at most min(|x|, |y|) numerator products.
         bound = max(map(abs, xnum)) * max(map(abs, ynum)) * min(len(xs), len(ys))
@@ -251,11 +249,11 @@ class Element:
         return Element(self.order, ((word_map(w), q) for w, q in self.terms.items()))
 
 
-def _numerators(terms: Mapping[str, Fraction]) -> tuple[list[int], list[int], int]:
-    """Packed words, integer numerators over one common denominator, and
-    that denominator."""
+def _numerators(terms: Mapping[str, Fraction], n: int) -> tuple[np.ndarray, list[int], int]:
+    """Packed order-n words, integer numerators over one common
+    denominator, and that denominator."""
     den = math.lcm(*(q.denominator for q in terms.values()))
-    return [pack_word(w) for w in terms], [q.numerator * (den // q.denominator) for q in terms.values()], den
+    return pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -77,9 +77,11 @@ def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
 
 
 #: Largest exponent `pow -m` and `coeff -m` take and longest stream `seq
-#: --mmax` prints.  At the cap the rational Fibonacci stream takes about 3 s
-#: and prints 16 MB, and powers of small order-3 elements outgrow the
-#: interpreter's integer-to-text digit limit.
+#: --mmax` prints.  At the cap, on a 2-vCPU x86-64 host, the rational
+#: Fibonacci stream (seed 3/2,-2/3,1/3) takes about 1.5 s and prints 15 MB,
+#: and the Padovan stream 0.35 s.  Powers of small order-3 elements outgrow
+#: the interpreter's integer-to-text digit limit first, which is refused in
+#: one line (a 31-term order-3 stream after 3.5 s, at term 1549).
 MAX_POWER = 4096
 
 #: Largest `bench --iterations`: 1M pairs take 3 s and 415 MB on a 2-vCPU x86-64 host.
@@ -89,6 +91,22 @@ MAX_ITERATIONS = 1_000_000
 def _check_cap(value: int, option: str, cap: int = MAX_POWER) -> None:
     if value > cap:
         raise ValueError(f"{option} must be at most {cap}, got {value}")
+
+
+def _check_printable(values: list[Fraction], option: str, label) -> None:
+    """Refuse a value whose numerator or denominator has more decimal
+    digits than the interpreter converts to text, naming `label(i)` for the
+    first such values[i] and the option to lower.  Judged by bit length, so
+    no integer is converted; only at the boundary bit length is one
+    compared with 10**limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    top = 10**limit
+    bits = top.bit_length()
+    for i, q in enumerate(values):
+        if any(v.bit_length() >= bits and abs(v) >= top for v in (q.numerator, q.denominator)):
+            raise ValueError(f"{label(i)} has more than {limit} digits, the most Python prints; lower {option}")
 
 
 def _load_element(path: str) -> Element:
@@ -120,8 +138,10 @@ def _cmd_mul(args) -> int:
 
 def _cmd_pow(args) -> int:
     _check_cap(args.power, "-m/--power")
-    x = _load_element(args.element)
-    print(element_to_json(x**args.power))
+    p = _load_element(args.element) ** args.power
+    words = p.support()
+    _check_printable([p.terms[w] for w in words], "-m/--power", lambda i: f"the coefficient of {words[i]}")
+    print(element_to_json(p))
     return 0
 
 
@@ -129,6 +149,8 @@ def _cmd_coeff(args) -> int:
     _check_cap(args.power, "-m/--power")
     x = _load_element(args.element)
     q = (x**args.power).coeff(args.word)
+    if not args.float:
+        _check_printable([q], "-m/--power", lambda i: f"the coefficient of {args.word}")
     print(float(q) if args.float else q)
     return 0
 
@@ -248,6 +270,8 @@ def _cmd_seq(args) -> int:
         x = _load_element(args.element)
     stream = coeff_stream(x, args.word, args.mmax)
     scaled = [args.scale * q for q in stream]
+    if not args.float or args.bfile is not None or args.bfile_parts is not None:
+        _check_printable(scaled, "--mmax", lambda i: f"term {i + 1} of the stream")
     # beyond 2D + 2 terms (D = 2**n) the stream follows its head's minimal rule
     rec = find_recurrence(stream[: 2 * max(2**x.order, args.max_order) + 2], args.max_order) if args.recurrence else None
     b_files = []
@@ -359,9 +383,16 @@ def _cmd_bench(args) -> int:
     lines.append(f"Element square order {x.order}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
 
     _, _, y = padovan_elements()
-    runs, _ = _best_of(3, lambda: coeff_stream(y, "ik", 200))
+    runs, stream = _best_of(3, lambda: coeff_stream(y, "ik", 200))
     t_stream = note("coeff_stream_padovan_ik_200", min(runs), "s", runs)
     lines.append(f"coeff_stream padovan ik: 200 powers in {t_stream:.4f} s")
+    # the two stages of that stream's exact arithmetic, on its own terms
+    runs, rec = _best_of(3, lambda: find_recurrence(stream, 4))
+    t_rec = note("find_recurrence_padovan_ik_200", min(runs), "s", runs)
+    lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
+    runs, _ = _best_of(3, lambda: rec.extend(stream[:10], 190))
+    t_extend = note("recurrence_extend_padovan_ik_190", min(runs), "s", runs)
+    lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
 
     if m:
         (t_scan,), t = _best_of(1, lambda: centralizer_tiles("1" + "7" * (m - 1)))

@@ -20,14 +20,15 @@ oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 `packed_mul_many` holds the one copy of that formula and runs it on numpy
 arrays, a whole batch of word pairs per call, with numpy-scalar masks (with
 Python-int masks the formula takes about 30% longer); every `Element`
-product goes through it.  `unpack_words` decodes a batch of packed words in
-one pass.  Negative or oversized words and floats, in arrays or not, raise
-ValueError instead of wrapping or truncating.
+product goes through it.  `pack_words` and `unpack_words` encode and decode
+a batch of words in one pass each.  Negative or oversized words and floats,
+in arrays or not, raise ValueError instead of wrapping or truncating.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,9 @@ _LANE_WIDTH = 2
 #: ASCII digit of each 2-bit lane code (DIGITS is in code order).
 _CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
 _NOT_WORDS = "packed words must be nonnegative integers below 2**64"
+#: `bytes.translate` table to each ASCII digit's lane code; 255 marks a
+#: byte that is not a digit.
+_BYTE_CODES = bytes(DIGIT_CODE.get(chr(b), 255) for b in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +60,27 @@ def pack_word(word: str) -> int:
         except KeyError:
             raise ValueError(f"invalid digit {d!r} in {word!r}") from None
     return bits
+
+
+def pack_words(words: Sequence[str], n: int) -> np.ndarray:
+    """Pack canonical digit words of order n into a uint64 array, in order.
+
+    Translates the joined words to lane codes in one pass and shifts them
+    into place as one (N, n) array.  Raises ValueError like `pack_word` on
+    a bad digit, and on a word whose length is not n.
+    """
+    check_order(n)
+    if words and set(map(len, words)) != {n}:
+        bad = next(w for w in words if len(w) != n)
+        raise ValueError(f"word {bad!r} is not of order {n}")
+    # a non-ASCII character becomes one "?" byte, which the table rejects
+    codes = "".join(words).encode("ascii", "replace").translate(_BYTE_CODES)
+    if 255 in codes:
+        for w in words:
+            pack_word(w)
+    shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
+    lanes = np.frombuffer(codes, dtype=np.uint8).reshape(-1, n).astype(np.uint64) << shifts
+    return lanes.sum(axis=1, dtype=np.uint64)
 
 
 def unpack_word(bits: int, n: int) -> str:

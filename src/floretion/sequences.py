@@ -7,11 +7,13 @@ numbers is the algebra of 2**n x 2**n complex matrices, so the minimal
 polynomial of any element X has degree D <= 2**n, and every coefficient
 stream satisfies a linear recurrence with constant coefficients of order
 <= D.  `find_recurrence` recovers the minimal one up to a requested order
-with one Berlekamp-Massey pass in exact arithmetic -- float fitting would
+with one fraction-free Berlekamp-Massey pass over the terms scaled to
+integers -- exact, with no `Fraction` per step; float fitting would
 misreport minimality, so none is used.  Given 2D + 2 terms, that pass
 returns the stream's minimal recurrence for every m, not only for the
 terms it saw; `coeff_stream` therefore computes at most 2D + 2 powers and
-continues the stream by that recurrence.
+continues the stream by that recurrence, whose `extend` sums each new term
+in integers and pays one gcd for it.
 
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
@@ -22,6 +24,7 @@ Streams index from m = 1: values[i] is the coefficient in X**(i+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
@@ -71,13 +74,34 @@ class Recurrence:
         return len(seq) <= k or list(seq[k:]) == self.extend(seq[:k], len(seq) - k)
 
     def extend(self, seed: Sequence[Fraction], count: int) -> list[Fraction]:
-        """Continue a sequence by `count` further terms from its tail."""
-        if len(seed) < self.order:
-            raise ValueError(f"need at least {self.order} seed terms, got {len(seed)}")
-        out = [Fraction(v) for v in seed]
+        """Continue a sequence by `count` further terms from its tail.
+
+        Exact, in integers: the coefficients are p_i / Q over their lcm Q and
+        the terms are reduced numerator/denominator pairs, so a new term is
+        sum p_i N_(m-i) (L / D_(m-i)) over L Q, L the lcm of the denominators
+        it reads.  Reducing that `Fraction` is the one gcd of full size per
+        term (L's gcds are cheap: those denominators mostly divide one
+        another).  Scaling the whole stream to integers instead (by Q**m or
+        a common denominator d**m) makes that gcd far larger and the loop
+        several times slower.
+        """
+        k = self.order
+        if len(seed) < k:
+            raise ValueError(f"need at least {k} seed terms, got {len(seed)}")
+        coeffs = [Fraction(c) for c in self.coeffs]
+        q = math.lcm(*(c.denominator for c in coeffs))
+        rule = [(i, c.numerator * (q // c.denominator)) for i, c in enumerate(coeffs, 1) if c]
+        tail = [Fraction(v) for v in seed[len(seed) - k :]]
+        nums = [v.numerator for v in tail]
+        dens = [v.denominator for v in tail]
+        out = []
         for _ in range(count):
-            out.append(sum(c * out[-1 - i] for i, c in enumerate(self.coeffs)))
-        return out[len(seed):]
+            lcd = math.lcm(*(dens[-i] for i, _ in rule))
+            v = Fraction(sum(p * nums[-i] * (lcd // dens[-i]) for i, p in rule), lcd * q)
+            out.append(v)
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        return out
 
     def __str__(self) -> str:
         body = " + ".join(f"{c}*a(m-{i + 1})" for i, c in enumerate(self.coeffs))
@@ -87,11 +111,12 @@ class Recurrence:
 def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | None:
     """Minimal exact linear recurrence of order <= max_order, or None.
 
-    One Berlekamp-Massey pass (Massey 1969) over the terms finds the
-    shortest rule a(m) = sum c_i a(m-i) that holds for every supplied m at
-    or past its order L.  A sequence of N >= 2L terms has exactly one such
-    rule of order L; requiring 2*max_order + 2 terms keeps that true for
-    every order the search may return.  L never shrinks, so the pass stops
+    One Berlekamp-Massey pass (Massey 1969), fraction-free over the terms
+    scaled to integers, finds the shortest rule a(m) = sum c_i a(m-i) that
+    holds for every supplied m at or past its order L.  A sequence of
+    N >= 2L terms has exactly one such rule of order L; requiring
+    2*max_order + 2 terms keeps that true for every order the search may
+    return.  L never shrinks, so the pass stops
     with None as soon as L exceeds max_order.  None is a result, not an
     error: the sequence simply has no short recurrence.  An all-zero
     sequence gives the order-1 rule a(m) = 0.
@@ -101,28 +126,42 @@ def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | Non
     need = 2 * max_order + 2
     if len(seq) < need:
         raise ValueError(f"need at least {need} terms for max_order {max_order}, got {len(seq)}")
-    seq = [Fraction(v) for v in seq]
-    # connection polynomial c (c[0] = 1) and the one before the last length
-    # change, b, with that step's discrepancy; both have degree <= max_order
-    c = [Fraction(1)] + [Fraction(0)] * max_order
-    b, b_disc = list(c), Fraction(1)
+    # A recurrence is unchanged when the whole sequence is scaled, so run
+    # on integers a over one common denominator.
+    seq = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq]
+    den = math.lcm(*(v.denominator for v in seq))
+    a = [v.numerator * (den // v.denominator) for v in seq]
+    # Fraction-free (no division by b_disc): the int list c stands for the
+    # connection polynomial c / c[0] of the rational pass, and a discrepancy
+    # d is the rational one times c[0] * den, so every d == 0 and grow
+    # decision is the rational pass's.  b / b[0] is the polynomial before
+    # the last length change, and b_disc that step's discrepancy times
+    # b[0] * den (the rational 1 at the start).  Invariant: c[0] > 0, the
+    # running scale, never zero since it only ever gains a nonzero factor
+    # b_disc; dividing c by its content keeps it positive and the entries
+    # small.  Both polynomials have degree <= max_order.
+    c = [1] + [0] * max_order
+    b, b_disc = list(c), den
     length, shift = 0, 1
-    for m, s in enumerate(seq):
-        d = s + sum(c[i] * seq[m - i] for i in range(1, length + 1))
+    for m in range(len(a)):
+        d = sum(c[i] * a[m - i] for i in range(length + 1))
         if d == 0:
             shift += 1
             continue
         grow = 2 * length <= m
         if grow and m + 1 - length > max_order:
             return None
-        prev, f = list(c), d / b_disc
+        prev = c
+        c = [b_disc * v for v in c]
         for i in range(max_order + 1 - shift):
-            c[i + shift] -= f * b[i]
+            c[i + shift] -= d * b[i]
+        g = math.gcd(*c)
+        c = [v // g for v in c] if c[0] > 0 else [-v // g for v in c]
         if grow:
             length, b, b_disc, shift = m + 1 - length, prev, d, 1
         else:
             shift += 1
-    return Recurrence(tuple(-v for v in c[1 : length + 1]) or (Fraction(0),))
+    return Recurrence(tuple(Fraction(-v, c[0]) for v in c[1 : length + 1]) or (Fraction(0),))
 
 
 # -- packaged order-two constructions -------------------------------------------
@@ -170,13 +209,17 @@ def write_b_file(out: IO[str], values: Iterable[Fraction], offset: int = 1) -> N
     """Write "index value" lines; values must all be integers.
 
     Rational streams are rejected with a pointer to the numerator and
-    denominator export the CLI offers instead.
+    denominator export the CLI offers instead.  The lines go out in one
+    write after every term is checked, so nothing is written when a term
+    is rejected.
     """
-    for i, v in enumerate(values):
-        q = Fraction(v)
+    lines = []
+    for i, v in enumerate(values, offset):
+        q = v if isinstance(v, (int, Fraction)) else Fraction(v)
         if q.denominator != 1:
             raise ValueError(
-                f"term {offset + i} is {q}, not an integer; "
+                f"term {i} is {q}, not an integer; "
                 "export numerators and denominators separately instead"
             )
-        out.write(f"{offset + i} {q.numerator}\n")
+        lines.append(f"{i} {q.numerator}\n")
+    out.write("".join(lines))

@@ -86,6 +86,15 @@ def reference_recurrence(seq, max_order: int):
     return None
 
 
+def reference_extend(rec: Recurrence, seed, count: int) -> list[Fraction]:
+    """Oracle for `Recurrence.extend`: each new term summed in exact
+    `Fraction` steps from the coefficients and the tail."""
+    out = [Fraction(v) for v in seed]
+    for _ in range(count):
+        out.append(sum(c * out[-1 - i] for i, c in enumerate(rec.coeffs)))
+    return out[len(seed) :]
+
+
 def reference_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
     """Oracle for `coeff_stream`: one exact product per power."""
     w = parse_word(word, x.order)

@@ -21,13 +21,13 @@ _SRC = str(Path(floretion.__file__).resolve().parent.parent)
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
-def run_cli(*args, stdin=None, cwd=None):
+def run_cli(*args, stdin=None, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "floretion", *args],
         capture_output=True,
         text=True,
         input=stdin,
-        env=_ENV,
+        env={**_ENV, **(env or {})},
         cwd=cwd,
     )
 
@@ -334,6 +334,50 @@ def test_seq_bfile_parts(tmp_path):
     assert den.read_text() == "1 2\n2 2\n3 1\n"
 
 
+# the interpreter's default integer-to-text limit, pinned for the child
+_DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")
+def test_pow_and_coeff_refuse_past_the_digit_limit(tmp_path):
+    # (10**43)**100 = 10**4300 has 4301 digits; (10**43 - 1)**100 has 4300
+    for base, ok in ((10**43, False), (10**43 - 1, True)):
+        path = tmp_path / "x.json"
+        path.write_text(element_to_json(Element(1, {"7": Fraction(1, base)})))
+        for args in (("pow", str(path), "-m", "100"), ("coeff", str(path), "7", "-m", "100")):
+            r = run_cli(*args, env=_DIGITS)
+            if ok:
+                assert r.returncode == 0 and r.stderr == ""
+                assert f"1/{base**100}" in r.stdout
+            else:
+                assert r.returncode == 2 and r.stdout == ""
+                assert r.stderr == (
+                    "error: the coefficient of 7 has more than 4300 digits, "
+                    "the most Python prints; lower -m/--power\n"
+                )
+    r = run_cli("coeff", str(path), "7", "-m", "100", "--float", env=_DIGITS)
+    assert r.returncode == 0 and float(r.stdout) == 0.0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")
+def test_seq_refuses_past_the_digit_limit(tmp_path):
+    # a(m) = -100 a(m-1) + a(m-2) gains two digits per term
+    fast = ("seq", "--preset", "fib", "--seed", "100,1,-1", "--word", "ij")
+    r = run_cli(*fast, "--mmax", "4096", env=_DIGITS)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "--mmax" in r.stderr and "Traceback" not in r.stderr
+    first = int(r.stderr.split("term ")[1].split()[0])
+    stream = coeff_stream(fibonacci_elements(100, 1, -1)[2], "ij", first)
+    assert abs(stream[-1].numerator) >= 10**4300 > max(abs(q.numerator) for q in stream[:-1])
+    # one term fewer prints, to stdout and to a b-file
+    out = tmp_path / "b.txt"
+    r = run_cli(*fast, "--mmax", str(first - 1), "--bfile-parts", str(out), str(tmp_path / "d.txt"), env=_DIGITS)
+    assert r.returncode == 0 and len(out.read_text().splitlines()) == first - 1
+    # b-files print integers even when the stream prints as floats
+    r = run_cli(*fast, "--mmax", str(first), "--float", "--bfile-parts", str(out), str(tmp_path / "d.txt"), env=_DIGITS)
+    assert r.returncode == 2 and f"term {first} of the stream" in r.stderr
+
+
 def test_deterministic_outputs():
     a = run_cli("render", "3", "--labels")
     b = run_cli("render", "3", "--labels")
@@ -367,6 +411,13 @@ def test_bench_json_record(tmp_path):
     assert stream["unit"] == "s" and stream["value"] == min(stream["runs_s"]) and len(stream["runs_s"]) == 3
     # every printed number is in the record
     assert f"coeff_stream padovan ik: 200 powers in {stream['value']:.4f} s" in r.stdout.splitlines()
+    for name, line in (
+        ("find_recurrence_padovan_ik_200", "find_recurrence padovan ik: 200 terms in {:.3f} ms"),
+        ("recurrence_extend_padovan_ik_190", "Recurrence.extend padovan ik: 190 terms in {:.3f} ms"),
+    ):
+        row = metrics[name]
+        assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
+        assert line.format(row["value"] * 1e3) in r.stdout.splitlines()
     assert f"word_mul      {metrics['word_mul']['value']:12.0f} products/s" in r.stdout.splitlines()
 
 

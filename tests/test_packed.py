@@ -9,6 +9,7 @@ import pytest
 from floretion.packed import (
     lane_masks,
     pack_word,
+    pack_words,
     packed_identity,
     packed_mul_many,
     unpack_word,
@@ -40,6 +41,37 @@ def test_unpack_words_matches_unpack_word():
         vals = [rng.randint(0, 4**n - 1) for _ in range(50)] + [0, 4**n - 1]
         assert unpack_words(np.array(vals, dtype=np.uint64), n) == [unpack_word(v, n) for v in vals]
     assert unpack_words(np.array([], dtype=np.uint64), 5) == []
+
+
+def test_pack_words_matches_pack_word_exhaustive():
+    for n in range(1, 6):
+        words = list(all_words(n))
+        packed = pack_words(words, n)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [pack_word(w) for w in words]
+        assert pack_words(words[::-1], n).tolist() == [pack_word(w) for w in words[::-1]]
+    rng = random.Random(13)
+    for n in range(6, 33):
+        words = ["".join(rng.choice("1247") for _ in range(n)) for _ in range(20)]
+        assert pack_words(words, n).tolist() == [pack_word(w) for w in words]
+    assert pack_words([], 3).tolist() == []
+
+
+def test_pack_words_rejects_bad_words():
+    for bad in ("12x", "3", "1é", "1 ", "i2"):
+        with pytest.raises(ValueError) as single:
+            pack_word(bad)
+        words = ["1" * len(bad), bad]
+        with pytest.raises(ValueError) as batch:
+            pack_words(words, len(bad))
+        assert str(batch.value) == str(single.value)
+    # lengths that add up to n * count still name the misfit word
+    with pytest.raises(ValueError, match="'1' is not of order 2"):
+        pack_words(["1", "222"], 2)
+    with pytest.raises(ValueError, match="order 3"):
+        pack_words(["12"], 3)
+    with pytest.raises(ValueError):
+        pack_words(["1"], 0)
 
 
 def test_unpack_words_rejects_stray_bits():

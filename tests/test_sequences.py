@@ -22,6 +22,7 @@ from helpers import (
     random_element,
     random_fraction,
     random_word,
+    reference_extend,
     reference_recurrence,
     reference_stream,
 )
@@ -174,6 +175,62 @@ def test_find_recurrence_matches_reference_oracle():
         assert find_recurrence(seq, max_order) == reference_recurrence(seq, max_order), (seq, max_order)
         count += 1
     assert count >= 2000
+
+
+def _extend_cases(rng):
+    """(recurrence, seed, count): rational coefficients and seeds of orders
+    1-8 with some coefficients zero, integer rules, order 1, and rules whose
+    terms' denominators grow without bound."""
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        coeffs = [random_fraction(rng, -3, 3, (1, 2, 3, 5, 7)) for _ in range(k)]
+        if rng.random() < 0.5:
+            coeffs[rng.randrange(k)] = F(0)
+        seed = [random_fraction(rng, -9, 9, (1, 2, 4, 9)) for _ in range(rng.randint(k, k + 3))]
+        yield Recurrence(tuple(coeffs)), seed, rng.randint(0, 40)
+    for _ in range(40):  # integer rules and seeds
+        k = rng.randint(1, 4)
+        yield Recurrence(tuple(F(rng.randint(-3, 3)) for _ in range(k))), [F(rng.randint(-5, 5)) for _ in range(k)], 60
+    for _ in range(40):  # order 1: geometric, including 0 and -1
+        yield Recurrence((random_fraction(rng, -3, 3, (1, 2, 7)),)), [random_fraction(rng)], 50
+    yield Recurrence((F(0), F(0))), [F(1, 2), F(3)], 5
+    for _ in range(10):  # long streams with growing denominators
+        rec = Recurrence((F(rng.choice((-3, 3)), 2), F(2, rng.choice((7, 9))), F(-1, 5)))
+        yield rec, [random_fraction(rng, -5, 5, (1, 3, 5)) for _ in range(3)], 300
+
+
+def test_recurrence_extend_matches_reference_extend():
+    rng = random.Random(20261021)
+    for rec, seed, count in _extend_cases(rng):
+        out = rec.extend(seed, count)
+        assert out == reference_extend(rec, seed, count), (rec, seed, count)
+        assert all(type(v) is F for v in out)
+    # long growing denominators really grew
+    assert max(v.denominator for v in out).bit_length() > 500
+
+
+def test_find_recurrence_edge_cases_match_reference():
+    rng = random.Random(20261022)
+    cases = [([F(0)] * 12, 4), ([F(0)] * 10, 1)]
+    for lead in range(1, 6):  # leading zeros before rational recurrences
+        k = rng.randint(1, 3)
+        seed = [random_fraction(rng, 1, 4) for _ in range(k)]
+        gen = Recurrence(tuple(random_fraction(rng, -2, 2, (1, 3)) for _ in range(k)))
+        cases.append(([F(0)] * lead + seed + gen.extend(seed, 14), 4 + lead))
+        cases.append(([F(0)] * lead + [F(1)] + [F(0)] * 9, 4))
+    seq = [F(1)]  # factorial growth: no short rule
+    for m in range(2, 16):
+        seq.append(seq[-1] * random_fraction(rng, 1, 5, (1, 2)) * m)
+    cases.append((seq, 4))
+    _, _, z = fibonacci_elements(F(3, 2), F(-2, 3), F(1, 3))
+    cases.append((coeff_stream(z, "ij", 300), 4))
+    results = []
+    for seq, max_order in cases:
+        rec = find_recurrence(seq, max_order)
+        assert rec == reference_recurrence(seq, max_order), (seq, max_order)
+        results.append(rec)
+    assert results[0] == Recurrence((F(0),)) and results[-2] is None
+    assert results[-1] is not None and results[-1].order == 2
 
 
 def test_recurrence_extend_and_holds_on():
