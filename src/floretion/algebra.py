@@ -7,27 +7,42 @@ Coefficients are `fractions.Fraction` throughout so that the recurrence and
 cancellation identities the package tests can be checked exactly; this
 includes the truncated exponential, whose partial sums are exact too.
 
-Products run on packed words: both supports are packed, their coefficients
-become integer numerators over one common denominator per side, and
-`packed_mul_many` multiplies bounded blocks of term pairs.  The signed
-numerator products are summed per product word (with `np.add.at` up to
-order 7, by sorting each block above) in int64 when no sum can reach 2**62
-and in Python ints otherwise, so the result is exact either way.  Every
-nonzero product takes this one path, however few its term pairs.
+Products run on integer numerators: both supports are packed, and their
+coefficients become integer numerators over one common denominator per
+side.  Two paths then sum the signed numerator products per product word,
+chosen by one comparison in `Element.__mul__`:
+
+- The matrix path.  The order-n algebra is H^(x n), and over Q, H (x) H is
+  the 4 x 4 matrices by a (x) b -> (x -> a x conj(b)), so a word of even
+  order m is a 2**m x 2**m signed permutation matrix, the Kronecker
+  product of its order-2 blocks' matrices.  An odd order runs at m = n + 1
+  as x (x) 7.  A product is one encode per operand, one float64 matrix
+  product and one decode by the trace form.  It runs for padded orders 4
+  to 10 once the term pairs reach K * 4**m (K = 16, measured), and only
+  while 16**m * max|num x| * max|num y| < 2**53, which keeps every partial
+  sum an exactly held integer; the derivation is in `Element.__mul__`.
+- The packed path, every other product: `packed_mul_many` multiplies
+  bounded blocks of term pairs, summed per product word (with `np.add.at`
+  up to order 7, by sorting each block above) in int64 when no sum can
+  reach 2**62 and in Python ints otherwise.  Sparse products, orders 1
+  and 2, products past the float64 bound and every order above 10 need
+  it.
 
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
-identically.  The constructor is the one term builder; sums, `map_basis` and
+identically.  The constructor is the one term builder; `map_basis` and
 the JSON reader pass it unsummed (word, coefficient) pairs, and results
-canonical by construction skip it through `Element._canonical`.
+canonical by construction, sums and differences among them, skip it
+through `Element._canonical`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -35,9 +50,12 @@ import numpy as np
 from . import packed
 from .packed import pack_word, pack_words, unpack_words
 from .words import (
+    CODE_DIGIT,
+    DIGIT_CODE,
     check_order,
     format_word,
     identity_word,
+    local_mul,
     noncentral_count,
     parse_word,
 )
@@ -48,6 +66,18 @@ _BLOCK_PAIRS = 1 << 14
 
 #: Integer sums stay in int64 while no partial sum can reach this.
 _INT64_LIMIT = 1 << 62
+
+#: float64 holds every integer of magnitude below this exactly.
+_FLOAT64_EXACT = 1 << 53
+
+#: Padded orders of the matrix path.  At order 2 it never beats the packed
+#: path, whose 16 x 16 products cost less than its fixed numpy calls; at
+#: order 10 a 2**10 x 2**10 float64 matrix is 8 MB.
+_MATRIX_ORDERS = range(4, 11, 2)
+
+#: K: a product takes the matrix path from K * 4**m term pairs, about where
+#: it starts to beat the packed path at padded order 4 (measured; see README).
+_MATRIX_PAIRS_PER_ENTRY = 16
 
 
 class Element:
@@ -131,8 +161,7 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._require_same_order(other)
-        return Element(self.order, chain(self.terms.items(), other.terms.items()))
+        return self._combined(other, operator.add)
 
     def __neg__(self) -> "Element":
         return Element._canonical(self.order, {w: -q for w, q in self.terms.items()})
@@ -140,7 +169,21 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        return self._combined(other, operator.sub)
+
+    def _combined(self, other: "Element", op) -> "Element":
+        """self + other or self - other (`op`) on the canonical term maps, so
+        no word is parsed again: words in both combine by `op`, the others
+        are copied (negated in a difference), and zero sums are dropped."""
+        self._require_same_order(other)
+        terms = dict(self.terms)
+        neg = op is operator.sub
+        for w, q in other.terms.items():
+            if w in terms:
+                terms[w] = op(terms[w], q)
+            else:
+                terms[w] = -q if neg else q
+        return Element._canonical(self.order, {w: q for w, q in terms.items() if q})
 
     def scaled(self, c: Fraction | int | str) -> "Element":
         c = Fraction(c)  # nonzero multiples of canonical terms are canonical
@@ -154,14 +197,32 @@ class Element:
     # -- multiplicative structure ---------------------------------------------
 
     def __mul__(self, other):
-        """Exact product; an int or Fraction scales.
+        """Exact product; an int or Fraction scales.  A zero operand gives zero at once.
 
-        Term pairs go through `packed_mul_many` in blocks of at most
-        `_BLOCK_PAIRS`; they add into one slot per word while 4**n <=
-        `_BLOCK_PAIRS`, else block sums fold into one sorted (word, sum)
-        pair of arrays.  Memory never follows the pair count.  Numerator
-        sums are int64 when max|num x| * max|num y| * min(|x|, |y|) <
-        2**62, else Python ints.  A zero operand gives zero at once.
+        Both sides become integer numerators over one common denominator
+        each; two paths sum their signed products per product word.
+
+        *Matrix path.*  Let m = n + n % 2 (an odd order runs as x (x) 7,
+        an algebra map), X = max|num x| and Y = max|num y|.  It runs when
+        m is in `_MATRIX_ORDERS` (4 to 10), the pair count |x| * |y| is at least
+        `_MATRIX_PAIRS_PER_ENTRY` * 4**m, and 16**m * X * Y < 2**53; see
+        `_matrix_sums`.  Exactness: every block matrix has one entry +-1 in
+        each row and column, and at each position 4 of the 16 blocks are
+        nonzero, so an entry of an operand's matrix sums 2**m signed
+        numerators, |entry| <= 2**m * X.  An entry of the matrix product
+        sums 2**m products of such entries, <= 8**m * X * Y.  A decoded sum
+        is 2**m times a coefficient and adds the 2**m entries its word's
+        matrix selects, <= 16**m * X * Y.  Every partial sum on the way,
+        in the encode, the matmul and the decode in whatever order BLAS
+        adds, is an integer no larger than the sum of its terms' absolute
+        values, so below 2**53 float64 holds each exactly.
+
+        *Packed path.*  Every other product: term pairs go through
+        `packed_mul_many` in blocks of at most `_BLOCK_PAIRS`; they add
+        into one slot per word while 4**n <= `_BLOCK_PAIRS`, else block
+        sums fold into one sorted (word, sum) pair of arrays.  Memory never
+        follows the pair count.  Sums are int64 when X * Y * min(|x|, |y|)
+        < 2**62, else Python ints.
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -173,33 +234,12 @@ class Element:
             return Element.zero(n)
         xs, xnum, xden = _numerators(self.terms, n)
         ys, ynum, yden = _numerators(other.terms, n)
-        # For a fixed left word and product word the right word is fixed, so
-        # each product word gathers at most min(|x|, |y|) numerator products.
-        bound = max(map(abs, xnum)) * max(map(abs, ynum)) * min(len(xs), len(ys))
-        dtype = np.int64 if bound < _INT64_LIMIT else object
-        xnum = np.array(xnum, dtype=dtype)
-        ynum = np.array(ynum, dtype=dtype)
-        cols = min(len(ys), _BLOCK_PAIRS)
-        rows = _BLOCK_PAIRS // cols
-        # Up to order 7 blocks add into one slot per word, unsorted.  Above,
-        # blocks[0] holds the running sums and the rest are pending sorted
-        # block sums, folded in once they outgrow it, so both stay within a
-        # small multiple of the result's size.
-        dense = 4**n <= _BLOCK_PAIRS
-        blocks = [(np.arange(4**n, dtype=np.uint64), np.zeros(4**n, dtype=dtype))] if dense else []
-        for r in range(0, len(xs), rows):
-            for c in range(0, len(ys), cols):
-                # looked up on the module so a wrapper installed there
-                # (perfbench/tracer.py) sees every block
-                signs, prods = packed.packed_mul_many(xs[r : r + rows, None], ys[None, c : c + cols], n)
-                vals = (signs * (xnum[r : r + rows, None] * ynum[None, c : c + cols])).ravel()
-                if dense:
-                    np.add.at(blocks[0][1], prods.ravel().astype(np.intp), vals)
-                    continue
-                blocks.append(_sum_by_key(prods.ravel(), vals))
-                if sum(len(k) for k, _ in blocks[1:]) > len(blocks[0][0]):
-                    blocks = [_merge(blocks)]
-        keys, sums = _merge(blocks) if len(blocks) > 1 else blocks[0]
+        top = max(map(abs, xnum)) * max(map(abs, ynum))
+        m = n + n % 2
+        if m in _MATRIX_ORDERS and len(xs) * len(ys) >= _MATRIX_PAIRS_PER_ENTRY * 4**m and 16**m * top < _FLOAT64_EXACT:
+            keys, sums = np.arange(4**n, dtype=np.uint64), _matrix_sums(xs, xnum, ys, ynum, n)
+        else:
+            keys, sums = _packed_sums(xs, xnum, ys, ynum, n, top)
         nonzero = sums != 0
         den = xden * yden
         coeffs = [Fraction(s, den) for s in sums[nonzero].tolist()]
@@ -256,6 +296,37 @@ def _numerators(terms: Mapping[str, Fraction], n: int) -> tuple[np.ndarray, list
     return pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
 
 
+def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending packed words and the exact numerator sum at each, by
+    blocked `packed_mul_many` calls; `top` is max|xnum| * max|ynum|."""
+    # For a fixed left word and product word the right word is fixed, so
+    # each product word gathers at most min(|x|, |y|) numerator products.
+    dtype = np.int64 if top * min(len(xs), len(ys)) < _INT64_LIMIT else object
+    xnum = np.array(xnum, dtype=dtype)
+    ynum = np.array(ynum, dtype=dtype)
+    cols = min(len(ys), _BLOCK_PAIRS)
+    rows = _BLOCK_PAIRS // cols
+    # Up to order 7 blocks add into one slot per word, unsorted.  Above,
+    # blocks[0] holds the running sums and the rest are pending sorted
+    # block sums, folded in once they outgrow it, so both stay within a
+    # small multiple of the result's size.
+    dense = 4**n <= _BLOCK_PAIRS
+    blocks = [(np.arange(4**n, dtype=np.uint64), np.zeros(4**n, dtype=dtype))] if dense else []
+    for r in range(0, len(xs), rows):
+        for c in range(0, len(ys), cols):
+            # looked up on the module so a wrapper installed there
+            # (perfbench/tracer.py) sees every block
+            signs, prods = packed.packed_mul_many(xs[r : r + rows, None], ys[None, c : c + cols], n)
+            vals = (signs * (xnum[r : r + rows, None] * ynum[None, c : c + cols])).ravel()
+            if dense:
+                np.add.at(blocks[0][1], prods.ravel().astype(np.intp), vals)
+                continue
+            blocks.append(_sum_by_key(prods.ravel(), vals))
+            if sum(len(k) for k, _ in blocks[1:]) > len(blocks[0][0]):
+                blocks = [_merge(blocks)]
+    return _merge(blocks) if len(blocks) > 1 else blocks[0]
+
+
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct keys and the exact sum of `vals` at each.  Sums
     stay in `vals`' dtype (never float64, which `np.bincount` would use)."""
@@ -268,6 +339,67 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _merge(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Fold (keys, sums) blocks into one sorted pair."""
     return _sum_by_key(np.concatenate([k for k, _ in blocks]), np.concatenate([v for _, v in blocks]))
+
+
+def _block_matrices() -> np.ndarray:
+    """The (16, 4, 4) matrices of the order-2 blocks.  Block v = c1 + 4*c2
+    of a packed key holds digits a = code c1 (the left one) and b = code c2,
+    and maps to x -> a x conj(b) on the quaternions, rows and columns
+    indexed by digit code.  a (x) b -> (x -> a x conj(b)) is the algebra
+    isomorphism from order 2 onto the 4 x 4 matrices."""
+    table = np.zeros((16, 4, 4))
+    for v in range(16):
+        a, b = CODE_DIGIT[v & 3], CODE_DIGIT[v >> 2]
+        for c in range(4):
+            s1, ax = local_mul(a, CODE_DIGIT[c])
+            s2, axb = local_mul(ax, b)
+            table[v, DIGIT_CODE[axb], c] = s1 * s2 * (1 if b == "7" else -1)
+    return table
+
+
+_BLOCKS = _block_matrices()
+
+
+def _to_matrix(keys: np.ndarray, nums: list[int], m: int) -> np.ndarray:
+    """The 2**m x 2**m matrix of sum nums[i] * word(keys[i]) at even order m:
+    the Kronecker product of the block matrices, one tensordot per block."""
+    t = np.zeros(4**m)
+    t[keys.astype(np.intp)] = nums
+    t = t.reshape((16,) * (m // 2))  # axes: blocks, most significant first
+    for _ in range(m // 2):
+        t = np.tensordot(t, _BLOCKS, axes=(0, 0))  # block -> (row, column)
+    return t.transpose([*range(0, m, 2), *range(1, m, 2)]).reshape(2**m, 2**m)
+
+
+def _from_matrix(z: np.ndarray, m: int) -> np.ndarray:
+    """2**m times the coefficients of the element whose matrix is z, indexed
+    by packed key: the trace form tr(P_w^T z), since tr(P_u^T P_w) is 2**m
+    when u = w and 0 otherwise.  The inverse of `_to_matrix`."""
+    k = m // 2
+    t = z.reshape((4,) * m).transpose([a for j in range(k) for a in (j, k + j)]).reshape((16,) * k)
+    for _ in range(k):
+        t = np.tensordot(t, _BLOCKS.reshape(16, 16), axes=(0, 1))  # (row, column) -> block
+    return t.reshape(-1)
+
+
+def _matrix_sums(xs: np.ndarray, xnum: list[int], ys: np.ndarray, ynum: list[int], n: int) -> np.ndarray:
+    """Numerator sums of the product per packed order-n word, as an int64
+    array indexed by the word, by one float64 matrix product at the padded
+    order m = n + n % 2.  An odd order appends a 7 (lane n set to code 3),
+    and the product is read back from the words whose top lane is 3.
+
+    Exact only while 16**m * max|xnum| * max|ynum| < 2**53, which the caller
+    checks (`Element.__mul__` derives the bound).  Raises ArithmeticError if
+    a decoded sum is not a multiple of 2**m, or a padded product has a term
+    outside the top-lane-3 words.
+    """
+    m = n + n % 2
+    pad = np.uint64(3 << 2 * n if n % 2 else 0)
+    sums = _from_matrix(_to_matrix(xs | pad, xnum, m) @ _to_matrix(ys | pad, ynum, m), m)
+    head = 4**m - 4**n  # words whose top lane is not 3, at odd n; none at even n
+    if np.fmod(sums, 2.0**m).any() or sums[:head].any():
+        raise ArithmeticError(f"inexact matrix product at order {n}")
+    return (sums[head:] / 2**m).astype(np.int64)
 
 
 def sierpinski_support(n: int) -> Element:

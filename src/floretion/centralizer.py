@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import Element
 from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_word, word_mul
@@ -37,11 +38,14 @@ from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_wor
 #: for.  Counts have no cap.
 SCAN_MAX_ORDER = 12
 
-#: `check_vanishing` multiplies two sums of 4**(n-1) words, so each order
-#: costs about 16 times the one below.  On a 2-vCPU x86-64 host, CLI calls
-#: took 0.9 s at order 7 and 60 s (40 MB peak) at order 8; order 9 would
-#: take about a quarter of an hour.
-VANISHING_MAX_ORDER = 8
+#: `check_vanishing` multiplies two sums of 4**(n-1) words with coefficient
+#: 1, so 16**10 < 2**53 keeps both products on the exact float64 matrix path
+#: of `Element.__mul__` up to order 10.  Fresh-process CLI calls on a 2-vCPU
+#: x86-64 host, whose speed drifts, took 0.3-0.6 s (38 MB peak) at order 8,
+#: 0.5-0.6 s (77 MB) at order 9 and 1.1-1.6 s (136 MB) at order 10.  Order
+#: 11 would fall to the packed path's 4**20 term pairs per product, hours
+#: of work.
+VANISHING_MAX_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,9 @@ def signed_centralizer_order(word: str) -> int:
 def sigma_sums(word: str) -> tuple[Element, Element]:
     """The two component sums as elements: (sum over plus, sum over minus)."""
     t = centralizer_tiles(word)
-    n = len(t.base)
-    return Element(n, dict.fromkeys(t.plus, 1)), Element(n, dict.fromkeys(t.minus, 1))
+    n, one = len(t.base), Fraction(1)
+    # listed tiles are canonical words, so the term builder has nothing to check
+    return Element._canonical(n, dict.fromkeys(t.plus, one)), Element._canonical(n, dict.fromkeys(t.minus, one))
 
 
 def check_vanishing(word: str) -> bool:

@@ -4,9 +4,11 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from floretion import algebra
 from floretion.algebra import (
     Element,
     element_from_json,
@@ -34,6 +36,8 @@ def test_zero_and_add():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         Element(2, {"12": 1}) + Element(3, {"123": 1})
+    with pytest.raises(ValueError, match="order mismatch: 2 vs 3"):
+        Element(2, {"12": 1}) - Element(3, {"124": 1})
     with pytest.raises(ValueError):
         Element(2, {"12": 1}) * Element(3, {"123": 1})
     with pytest.raises(ValueError):
@@ -67,6 +71,22 @@ def test_constructor_pairs_match_mapping():
         assert x == zero and x.terms == {} and x.is_zero()
     with pytest.raises(ValueError):
         Element(2, [("12", 1), ("123", 1)])
+
+
+def test_add_sub_match_term_builder():
+    # sums and differences merge the canonical term maps; the constructor,
+    # fed both operands' (negated) pairs, is the reference
+    rng = random.Random(20261020)
+    for n in (1, 2, 3, 4):
+        dense = Element(n, {w: random_fraction(rng, -9, 9, _MIXED) for w in all_words(n)})
+        for _ in range(10):
+            x, y = random_element(rng, n, max_terms=12), random_element(rng, n, max_terms=12)
+            for a, b in ((x, y), (x, x), (x, -x), (dense, x), (x, dense), (x, Element.zero(n)), (Element.zero(n), y)):
+                total, diff = a + b, a - b
+                assert total.terms == Element(n, chain(a.terms.items(), b.terms.items())).terms
+                assert diff.terms == Element(n, chain(a.terms.items(), ((w, -q) for w, q in b.terms.items()))).terms
+                assert all(type(q) is Fraction and q != 0 for q in chain(total.terms.values(), diff.terms.values()))
+        assert (dense - dense).is_zero() and dense + dense == dense.scaled(2)
 
 
 def test_scaled_and_relabeled_terms():
@@ -176,6 +196,110 @@ def test_mul_sparse_order_32():
     _assert_mul_exact(x, y)
     _assert_mul_exact(x, x)
     _assert_mul_exact(x, Element.one(32))
+
+
+def _matrix_mul(x, y):
+    """x * y through the matrix path's numerator sums alone, whatever the
+    dispatch rule of `Element.__mul__` would choose."""
+    n = x.order
+    (xs, xnum, xden), (ys, ynum, yden) = algebra._numerators(x.terms, n), algebra._numerators(y.terms, n)
+    sums = algebra._matrix_sums(xs, xnum, ys, ynum, n)
+    words = [unpack_word(v, n) for v in range(4**n)]
+    return Element(n, zip(words, (Fraction(s, xden * yden) for s in sums.tolist())))
+
+
+def test_matrix_path_matches_reference():
+    rng = random.Random(20261019)
+    for n in range(1, 7):
+        # dense squares up to order 4; above, the oracle's per-pair loop is
+        # too slow for them and the byte-identity test covers them
+        x = Element(n, {w: random_fraction(rng, -9, 9, _MIXED) for w in all_words(n)}) if n <= 4 else random_element(rng, n, 40)
+        y = random_element(rng, n, max_terms=30)
+        single = Element(n, {random_word(rng, n): random_fraction(rng, 1, 9, _MIXED)})
+        one, zero = Element.one(n), Element.zero(n)
+        for a, b in ((x, x), (x, -x), (x, y), (y, x), (single, x), (x, single), (single, single), (one, x), (x, one), (zero, x), (x, zero)):
+            assert _matrix_mul(a, b) == reference_mul(a, b)
+        assert _matrix_mul(Element.zero(n), Element.zero(n)).is_zero()
+    # the component sums of an involutive word annihilate each other
+    for word in ("12", "127", "1212", "12127", "121212"):
+        plus, minus = sigma_sums(word)
+        assert _matrix_mul(plus, minus).is_zero() and _matrix_mul(minus, plus).is_zero()
+    assert reference_mul(*sigma_sums("12127")).is_zero()
+
+
+def test_matrix_path_refuses_inexact_sums(monkeypatch):
+    # a decoded sum off a multiple of 2**m, or (odd order) a term outside the
+    # words whose padded top lane is 7, raises instead of being rounded
+    real = algebra._from_matrix
+    for n, index, bump in ((4, -1, 1), (3, -1, 1), (3, 0, 2**4)):
+        def corrupted(z, m, index=index, bump=bump):
+            sums = real(z, m)
+            sums[index] += bump
+            return sums
+
+        monkeypatch.setattr(algebra, "_from_matrix", corrupted)
+        x = Element(n, {"1" * n: 1, "7" * n: 2})
+        with pytest.raises(ArithmeticError):
+            _matrix_mul(x, x)
+
+
+def _count_matrix_calls(monkeypatch) -> list:
+    calls = []
+    real = algebra._matrix_sums
+    monkeypatch.setattr(algebra, "_matrix_sums", lambda *args: calls.append(args[-1]) or real(*args))
+    return calls
+
+
+def test_matrix_path_float64_bound(monkeypatch):
+    # the matrix path runs while 16**m * max|num x| * max|num y| < 2**53, from
+    # 16 * 4**m term pairs: order 4 (m = 4, 64 x 64 terms) with 2**18 against
+    # 2**19 - 1 is just below the bound, against 2**19 on it; likewise order 5
+    # (m = 6, 256 x 256 terms) with 2**14 against 2**15 - 1 and 2**15
+    calls = _count_matrix_calls(monkeypatch)
+    rng = random.Random(53)
+    for n, terms, top in ((4, 64, 18), (5, 256, 14)):
+        words = list(all_words(n))
+        x = Element(n, {w: rng.choice((-1, 1)) * 2**top for w in rng.sample(words, terms)})
+        for ytop, matrix in ((2 ** (top + 1) - 1, True), (2 ** (top + 1), False)):
+            y = Element(n, {w: rng.choice((-1, 1)) * ytop for w in rng.sample(words, terms)})
+            del calls[:]
+            _assert_mul_exact(x, y)
+            assert calls == ([n] if matrix else [])
+    # one term pair fewer than 16 * 4**m stays on the packed path
+    x = Element(4, dict.fromkeys(list(all_words(4))[:64], 1))
+    y = Element(4, dict.fromkeys(list(all_words(4))[:63], 1))
+    del calls[:]
+    _assert_mul_exact(x, y)
+    assert calls == []
+
+
+def test_matrix_and_packed_paths_give_identical_json(monkeypatch):
+    # products forced onto each path (the dispatch constants patched) give
+    # byte-identical JSON at orders 1-10, near-bound numerators included
+    calls = _count_matrix_calls(monkeypatch)
+    rng = random.Random(1010)
+    for n in range(1, 11):
+        m = n + n % 2
+        near = math.isqrt((2**53 - 1) // 16**m)  # near * near * 16**m < 2**53
+
+        def sample(k, coeff):
+            return Element(n, {unpack_word(v, n): coeff() for v in rng.sample(range(4**n), min(k, 4**n))})
+
+        # numerators up to 4 * lcm(1, 2, 3, 4): within the bound at order 10 too
+        x = sample(160, lambda: random_fraction(rng))
+        y = sample(100, lambda: random_fraction(rng))
+        big = sample(60, lambda: rng.choice((-1, 1)) * (near - rng.randrange(3)))
+        cases = [(x, y), (x, x), (x, -x), (y, x), (sample(1, lambda: F(3, 7)), x), (Element.one(n), y), (big, big)]
+        if n <= 6:
+            cases.append(sigma_sums(("12" * n)[:n]))
+        for a, b in cases:
+            monkeypatch.setattr(algebra, "_MATRIX_ORDERS", range(2, 11, 2))
+            monkeypatch.setattr(algebra, "_MATRIX_PAIRS_PER_ENTRY", 0)
+            del calls[:]
+            via_matrix = element_to_json(a * b)
+            assert calls == [n]
+            monkeypatch.setattr(algebra, "_MATRIX_ORDERS", ())
+            assert element_to_json(a * b) == via_matrix
 
 
 def test_bilinearity_random():

@@ -188,6 +188,17 @@ def test_vanishing_orders_5_and_6():
                 checked += 1
 
 
+def test_vanishing_order_8():
+    # both products of 4**7 x 4**7 term pairs run on the matrix path
+    rng = random.Random(88)
+    checked = 0
+    while checked < 2:
+        b = random_word(rng, 8)
+        if noncentral_count(b) % 2 == 0 and b != identity_word(8):
+            assert check_vanishing(b)
+            checked += 1
+
+
 def _traced_peak(f):
     tracemalloc.start()
     try:
@@ -197,17 +208,21 @@ def _traced_peak(f):
 
 
 def test_component_product_memory_is_bounded():
+    # Each product runs twice: as is on the matrix path, and with one side
+    # scaled by 2**30, past its float64 bound, on the packed path.
     # 1024 x 1024 term pairs; one unblocked outer product peaks near 40 MB
     plus, minus = sigma_sums("121277")
     assert len(plus.terms) * len(minus.terms) == 2**20
-    z, peak = _traced_peak(lambda: plus * minus)
-    assert z.is_zero()
-    assert peak < 16 * 2**20
+    for left in (plus, plus.scaled(2**30)):
+        z, peak = _traced_peak(lambda: left * minus)
+        assert z.is_zero()
+        assert peak < 16 * 2**20
     # 4M pairs in 256 blocks of 4096 distinct words each: kept apart until
     # the end instead of folded into the running sums, they peak near 50 MB
     every = Element(6, dict.fromkeys(all_words(6), 1))
-    _, peak = _traced_peak(lambda: plus * every)
-    assert peak < 16 * 2**20
+    for left in (plus, plus.scaled(2**30)):
+        _, peak = _traced_peak(lambda: left * every)
+        assert peak < 16 * 2**20
 
 
 def test_sigma_eigen_relations():

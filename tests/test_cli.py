@@ -95,15 +95,15 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["coeff", "-", "12", "--power", "1000000000000"], _SMALL_ELEMENT),
         (["seq", "--preset", "fib", "--seed", "1/3,2,-5/7", "--word", "ij", "--mmax", "4097"], None),
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "1000000000000"], None),
-        # order 9 squares to the identity but is above the vanishing cap
-        (["vanishing", "121212127"], None),
+        # order 11 squares to the identity but is above the vanishing cap
+        (["vanishing", "12121212127"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
         "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
-        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-9",
+        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-11",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -393,6 +393,9 @@ def test_bench_smoke():
     assert "word_mul" in r.stdout and "packed batch" in r.stdout
     assert "cross-check   2000/2000 agree" in r.stdout
     assert "Element square order 4: 256 terms -> 256 terms in " in r.stdout
+    assert "Element square order 5: 1024 terms -> 1024 terms in " in r.stdout
+    assert "Element square order 6: 4096 terms -> 4096 terms in " in r.stdout
+    assert "check_vanishing 12121212: true in " in r.stdout
     assert "centralizer scan order 5" in r.stdout
 
 
@@ -418,6 +421,15 @@ def test_bench_json_record(tmp_path):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
         assert line.format(row["value"] * 1e3) in r.stdout.splitlines()
+    for k in (4, 5, 6):
+        row = metrics[f"element_square_order{k}"]
+        assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
+        assert metrics[f"element_square_order{k}_terms_in"] == {"value": 4**k, "unit": "terms"}
+        line = f"Element square order {k}: {4**k} terms -> {metrics[f'element_square_order{k}_terms_out']['value']} terms in {row['value']:.4f} s"
+        assert line in r.stdout.splitlines()
+    row = metrics["check_vanishing_order8"]
+    assert row["unit"] == "s" and len(row["runs_s"]) == 3
+    assert f"check_vanishing 12121212: true in {row['value']:.3f} s" in r.stdout.splitlines()
     assert f"word_mul      {metrics['word_mul']['value']:12.0f} products/s" in r.stdout.splitlines()
 
 
