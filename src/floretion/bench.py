@@ -1,0 +1,133 @@
+"""`floretion bench`: time the product kernels, dense `Element` squares, the
+vanishing check, a coefficient stream and a centralizer listing."""
+
+from __future__ import annotations
+
+import os
+import platform
+import random
+import subprocess
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from .algebra import Element
+from .centralizer import centralizer_tiles, check_vanishing
+from .packed import lane_masks, packed_mul_many, unpack_words
+from .sequences import coeff_stream, find_recurrence, padovan_elements
+from .words import all_words, word_mul
+
+#: Seed of the random word pairs and dense elements, so every run times the same inputs.
+SEED = 20260808
+
+
+def _git_commit() -> str | None:
+    try:
+        r = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)), capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return r.stdout.strip() or None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def environment() -> dict:
+    """Python and numpy versions, CPU and commit of this run."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "platform": platform.platform(),
+        "commit": _git_commit(),
+    }
+
+
+def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
+    """Time `iters` random order-n word products and, unless m is 0, an order-m
+    tile listing.  Returns the lines to print and every number printed, as
+    {name: {"value", "unit"}} with each timing's runs in "runs_s"."""
+    metrics = {}
+    def note(name, value, unit, runs=()):
+        metrics[name] = {"value": value, "unit": unit, **({"runs_s": runs} if runs else {})}
+        return value
+
+    def timed(name, k, fn, per=None):
+        """Call fn k times; record every run and the fastest, in seconds or as
+        `per` products per second.  Returns that number and the last result."""
+        runs = []
+        for _ in range(k):
+            t0 = time.perf_counter()
+            out = fn()
+            runs.append(time.perf_counter() - t0)
+        value, unit = (min(runs), "s") if per is None else (per / min(runs), "products/s")
+        return note(name, value, unit, runs), out
+
+    note("order", n, "word length")
+    note("iterations", iters, "products")
+
+    full, _ = lane_masks(n)
+    rng = random.Random(SEED)
+    ax = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
+    ay = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
+    xw, yw = unpack_words(ax, n), unpack_words(ay, n)
+
+    for i in range(min(1000, iters)):  # warmup
+        word_mul(xw[i], yw[i])
+
+    rate_word, ref = timed("word_mul", 1, lambda: [word_mul(a, b) for a, b in zip(xw, yw)], iters)
+    packed_mul_many(ax, ay, n)  # warmup pays allocation cost
+    rate_batch, (signs, prods) = timed("packed_batch", 3, lambda: packed_mul_many(ax, ay, n), iters)
+
+    agree = sum(1 for (sw, ww), sb, wb in zip(ref, signs.tolist(), unpack_words(prods, n)) if sw == sb and ww == wb)
+    ratio = note("packed_batch_speedup", rate_batch / rate_word, "x word_mul")
+    note("cross_check_agree", agree, "products")
+    lines = [
+        f"order {n}, {iters} random products per kernel",
+        f"word_mul      {rate_word:12.0f} products/s",
+        f"packed batch  {rate_batch:12.0f} products/s  ({ratio:.1f}x word_mul)",
+        f"cross-check   {agree}/{iters} agree",
+    ]
+    if agree != iters:
+        raise ValueError("kernel cross-check failed")
+
+    for k in (4, 5, 6):
+        rng = random.Random(SEED)  # a dense element: all 4**k words
+        x = Element(k, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in all_words(k)})
+        t_square, square = timed(f"element_square_order{k}", 3, lambda: x * x)
+        note(f"element_square_order{k}_terms_in", len(x.terms), "terms")
+        note(f"element_square_order{k}_terms_out", len(square.terms), "terms")
+        lines.append(f"Element square order {k}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
+    t_vanish, vanishes = timed("check_vanishing_order8", 3, lambda: check_vanishing("12121212"))
+    lines.append(f"check_vanishing 12121212: {str(vanishes).lower()} in {t_vanish:.3f} s")
+
+    _, _, y = padovan_elements()
+    t_stream, stream = timed("coeff_stream_padovan_ik_200", 3, lambda: coeff_stream(y, "ik", 200))
+    lines.append(f"coeff_stream padovan ik: 200 powers in {t_stream:.4f} s")
+    # the two stages of that stream's exact arithmetic, on its own terms
+    t_rec, rec = timed("find_recurrence_padovan_ik_200", 3, lambda: find_recurrence(stream, 4))
+    lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
+    t_extend, _ = timed("recurrence_extend_padovan_ik_190", 3, lambda: rec.extend(stream[:10], 190))
+    lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
+
+    if m:
+        t_scan, t = timed("centralizer_scan", 1, lambda: centralizer_tiles("1" + "7" * (m - 1)))
+        note("centralizer_scan_order", m, "word length")
+        note("centralizer_tiles_listed", t.total, "tiles")
+        note("centralizer_plus", len(t.plus), "tiles")
+        note("centralizer_minus", len(t.minus), "tiles")
+        lines.append(f"centralizer scan order {m}: {t.total} tiles listed in {t_scan:.3f} s (plus {len(t.plus)}, minus {len(t.minus)})")
+    return lines, metrics

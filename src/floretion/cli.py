@@ -11,20 +11,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
-import platform
-import random
 import sys
-import time
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
 from .centralizer import SCAN_MAX_ORDER, VANISHING_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
-from .packed import lane_masks, packed_mul_many, unpack_words
 from .render import _check_limits, render_tiling
 from .sequences import (
     coeff_stream,
@@ -43,13 +36,11 @@ from .symmetry import (
     parse_perm,
 )
 from .words import (
-    all_words,
     format_signed_word,
     format_word,
     parse_signed_word,
     parse_word,
     signed_word_mul,
-    word_mul,
 )
 
 
@@ -182,11 +173,8 @@ def _cmd_symmetry_axis(args) -> int:
 def _cmd_symmetry_orbit(args) -> int:
     w = parse_word(args.word)
     coords = _parse_coords(args.coords)
-    points = cyclic_orbit_points(w, coords, args.d1)
-    shifted = w
-    for p in points:
-        print(f"{format_word(shifted, args.letters)} {p.x:.12g} {p.y:.12g}")
-        shifted = local_cycle(shifted, coords)
+    for k, p in enumerate(cyclic_orbit_points(w, coords, args.d1)):
+        print(f"{format_word(local_cycle(w, coords, k), args.letters)} {p.x:.12g} {p.y:.12g}")
     return 0
 
 
@@ -288,140 +276,16 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-#: Seed of the random word pairs and the element `bench` multiplies, so runs
-#: time the same inputs.
-BENCH_SEED = 20260808
-
-
-def _best_of(k: int, fn):
-    """(seconds of each of k calls of fn, the last result)."""
-    times = []
-    for _ in range(k):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return times, out
-
-
-def _git_commit() -> str | None:
-    import subprocess  # only `bench --json` needs it; other commands skip its import time
-
-    try:
-        r = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=os.path.dirname(os.path.abspath(__file__)), capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return r.stdout.strip() or None
-
-
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def _cmd_bench(args) -> int:
-    n = args.order
-    iters = args.iterations
-    m = args.scan_order
-    _check_cap(iters, "--iterations", MAX_ITERATIONS)
-    if iters < 1:
-        raise ValueError(f"iterations must be >= 1, got {iters}")
-    if not 0 <= m <= SCAN_MAX_ORDER:
-        raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {m}")
-    metrics = {}
-
-    def note(name, value, unit, runs=()):
-        """Record a printed number for --json; timings keep every run."""
-        metrics[name] = {"value": value, "unit": unit, **({"runs_s": runs} if runs else {})}
-        return value
-
-    note("order", n, "word length")
-    note("iterations", iters, "products")
-
-    full, _ = lane_masks(n)
-    rng = random.Random(BENCH_SEED)
-    ax = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
-    ay = np.array([rng.randint(0, full) for _ in range(iters)], dtype=np.uint64)
-    xw = unpack_words(ax, n)
-    yw = unpack_words(ay, n)
-
-    for i in range(min(1000, iters)):  # warmup
-        word_mul(xw[i], yw[i])
-
-    (t_word,), ref = _best_of(1, lambda: [word_mul(a, b) for a, b in zip(xw, yw)])
-    packed_mul_many(ax, ay, n)  # warmup pays allocation cost
-    runs, (signs, prods) = _best_of(3, lambda: packed_mul_many(ax, ay, n))
-
-    agree = sum(1 for (sw, ww), sb, wb in zip(ref, signs.tolist(), unpack_words(prods, n)) if sw == sb and ww == wb)
-    rate_word = note("word_mul", iters / t_word, "products/s", [t_word])
-    rate_batch = note("packed_batch", iters / min(runs), "products/s", runs)
-    ratio = note("packed_batch_speedup", rate_batch / rate_word, "x word_mul")
-    note("cross_check_agree", agree, "products")
-    lines = [
-        f"order {n}, {iters} random products per kernel",
-        f"word_mul      {rate_word:12.0f} products/s",
-        f"packed batch  {rate_batch:12.0f} products/s  ({ratio:.1f}x word_mul)",
-        f"cross-check   {agree}/{iters} agree",
-    ]
-    if agree != iters:
-        raise ValueError("kernel cross-check failed")
-
-    for k in (4, 5, 6):
-        rng = random.Random(BENCH_SEED)  # a dense element: all 4**k words
-        x = Element(k, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in all_words(k)})
-        runs, square = _best_of(3, lambda: x * x)
-        note(f"element_square_order{k}_terms_in", len(x.terms), "terms")
-        note(f"element_square_order{k}_terms_out", len(square.terms), "terms")
-        t_square = note(f"element_square_order{k}", min(runs), "s", runs)
-        lines.append(f"Element square order {k}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
-    runs, vanishes = _best_of(3, lambda: check_vanishing("12121212"))
-    t_vanish = note("check_vanishing_order8", min(runs), "s", runs)
-    lines.append(f"check_vanishing 12121212: {str(vanishes).lower()} in {t_vanish:.3f} s")
-
-    _, _, y = padovan_elements()
-    runs, stream = _best_of(3, lambda: coeff_stream(y, "ik", 200))
-    t_stream = note("coeff_stream_padovan_ik_200", min(runs), "s", runs)
-    lines.append(f"coeff_stream padovan ik: 200 powers in {t_stream:.4f} s")
-    # the two stages of that stream's exact arithmetic, on its own terms
-    runs, rec = _best_of(3, lambda: find_recurrence(stream, 4))
-    t_rec = note("find_recurrence_padovan_ik_200", min(runs), "s", runs)
-    lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
-    runs, _ = _best_of(3, lambda: rec.extend(stream[:10], 190))
-    t_extend = note("recurrence_extend_padovan_ik_190", min(runs), "s", runs)
-    lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
-
-    if m:
-        (t_scan,), t = _best_of(1, lambda: centralizer_tiles("1" + "7" * (m - 1)))
-        note("centralizer_scan_order", m, "word length")
-        note("centralizer_tiles_listed", t.total, "tiles")
-        note("centralizer_plus", len(t.plus), "tiles")
-        note("centralizer_minus", len(t.minus), "tiles")
-        note("centralizer_scan", t_scan, "s", [t_scan])
-        lines.append(
-            f"centralizer scan order {m}: {t.total} tiles listed in {t_scan:.3f} s "
-            f"(plus {len(t.plus)}, minus {len(t.minus)})"
-        )
-    outputs = []
-    if args.json is not None:
-        environment = {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "cpu_model": _cpu_model(),
-            "platform": platform.platform(),
-            "commit": _git_commit(),
-        }
-        record = {"environment": environment, "metrics": metrics}
-        outputs.append((args.json, json.dumps(record, indent=2) + "\n"))
-    _emit(lines, outputs)
+    _check_cap(args.iterations, "--iterations", MAX_ITERATIONS)
+    if args.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {args.iterations}")
+    if not 0 <= args.scan_order <= SCAN_MAX_ORDER:
+        raise ValueError(f"scan order must be in 0..{SCAN_MAX_ORDER}, got {args.scan_order}")
+    from . import bench  # numpy and the timed code load only after the checks
+    lines, metrics = bench.run(args.order, args.iterations, args.scan_order)
+    record = {"environment": bench.environment(), "metrics": metrics} if args.json is not None else None
+    _emit(lines, [] if record is None else [(args.json, json.dumps(record, indent=2) + "\n")])
     return 0
 
 

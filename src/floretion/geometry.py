@@ -80,8 +80,8 @@ def centroid(word: str, d1: float = DEFAULT_STEP) -> Vec2:
     steps.  With d1 = R0/2 this is the centroid of the tile inside the
     depth-0 triangle of circumradius R0 centered at the origin.
     """
-    if not 0 < d1 < math.inf:
-        raise ValueError(f"step scale must be positive and finite, got {d1}")
+    if not 0 < 2 * d1 < math.inf:  # every coordinate is below 2*d1
+        raise ValueError(f"step scale must be positive with 2*d1 finite, got {d1}")
     x = y = 0.0
     sign_step = 1.0
     step = d1
@@ -109,8 +109,8 @@ _VERTEX_ORDER = ("2", "4", "1")
 def tile_polygon(word: str, r0: float = DEFAULT_R0) -> tuple[Vec2, Vec2, Vec2]:
     """The three vertices of a word's tile inside a depth-0 triangle of
     circumradius r0; equilateral, circumradius r0 / 2**n."""
-    if not 0 < r0 < math.inf:
-        raise ValueError(f"circumradius must be positive and finite, got {r0}")
+    if not 0 < 2 * r0 < math.inf:  # every vertex coordinate is below 1.5*r0
+        raise ValueError(f"circumradius must be positive with 2*r0 finite, got {r0}")
     c = centroid(word, r0 / 2.0)
     r = r0 / (2 ** len(word))
     flip = 1.0 if is_upward(word) else -1.0

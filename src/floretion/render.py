@@ -40,8 +40,8 @@ def _check_limits(n: int, r0: float) -> None:
     """ValueError unless `render_tiling` takes depth n and circumradius r0."""
     if not 1 <= n <= RENDER_MAX_DEPTH:
         raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
-    if not 0 < r0 < math.inf:
-        raise ValueError(f"circumradius must be positive and finite, got {r0}")
+    if not 0 < 2 * r0 < math.inf:  # the viewBox spans about 1.83*r0
+        raise ValueError(f"circumradius must be positive with 2*r0 finite, got {r0}")
 
 
 def render_tiling(

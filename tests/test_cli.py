@@ -97,6 +97,11 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "1000000000000"], None),
         # order 11 squares to the identity but is above the vanishing cap
         (["vanishing", "12121212127"], None),
+        # finite scales whose coordinates would overflow to inf
+        (["centroid", "1111", "--d1", "1.7e308"], None),
+        (["symmetry", "orbit", "2222", "--d1", "1.79e308"], None),
+        (["render", "2", "--r0", "1e308"], None),
+        (["centralizer", "12", "--svg", "x.svg", "--r0", "1e308"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
@@ -104,6 +109,7 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
         "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-11",
+        "d1-overflow", "orbit-d1-overflow", "r0-overflow", "svg-r0-overflow",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -397,6 +403,19 @@ def test_bench_smoke():
     assert "Element square order 6: 4096 terms -> 4096 terms in " in r.stdout
     assert "check_vanishing 12121212: true in " in r.stdout
     assert "centralizer scan order 5" in r.stdout
+
+
+def test_bench_module_loads_only_for_a_checked_bench_call():
+    code = (
+        "import sys\n"
+        "from floretion import cli\n"
+        "assert cli.main(['mul', '12', '12']) == 0\n"
+        "assert cli.main(['bench', '--scan-order', '13']) == 2\n"
+        "assert 'floretion.bench' not in sys.modules, 'floretion.bench imported'\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "77\n" and r.stderr.startswith("error: scan order")
 
 
 def test_bench_json_record(tmp_path):
