@@ -3,7 +3,13 @@ aliases i, j, k, e: signed digitwise multiplication, a packed bit-lane
 kernel, triangular-tiling geometry, digit-permutation symmetries,
 centralizer tile sets, and exact recurrence detection on power
 coefficients.
+
+Importing the package loads no numpy: the first `Element` product loads
+it, and `floretion.packed` and the names served from it here
+(`packed_mul_many`, `packed_identity`) load on first access.
 """
+
+from importlib import import_module
 
 from .algebra import (
     Element,
@@ -31,7 +37,6 @@ from .geometry import (
     is_upward,
     tile_polygon,
 )
-from .packed import pack_word, packed_identity, packed_mul_many, unpack_word
 from .render import render_tiling
 from .sequences import (
     Recurrence,
@@ -70,11 +75,27 @@ from .words import (
     identity_word,
     local_mul,
     noncentral_count,
+    pack_word,
     parse_signed_word,
     parse_word,
     signed_word_inverse,
     signed_word_mul,
+    unpack_word,
     word_mul,
 )
 
 __version__ = "0.1.0"
+
+#: Names served from `floretion.packed`, which imports numpy (PEP 562).
+_PACKED = ("packed_identity", "packed_mul_many")
+
+
+def __getattr__(name):
+    if name == "packed" or name in _PACKED:
+        packed = import_module(".packed", __name__)
+        return packed if name == "packed" else getattr(packed, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "packed", *_PACKED})

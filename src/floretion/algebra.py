@@ -28,6 +28,12 @@ chosen by one comparison in `Element.__mul__`:
   and 2, products past the float64 bound and every order above 10 need
   it.
 
+numpy and `floretion.packed` load on the first product in a process, not
+at import: `_numerators`, where every product starts, calls `_load`, which
+binds the module globals `np` and `packed` once.  Sums, differences,
+conjugation, parity, JSON and canonical term order (by the pure-Python
+`pack_word`) need neither, so neither do the CLI commands built on them.
+
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
 identically.  The constructor is the one term builder; `map_basis` and
@@ -42,13 +48,10 @@ import json
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
-from . import packed
-from .packed import pack_word, pack_words, unpack_words
 from .words import (
     CODE_DIGIT,
     DIGIT_CODE,
@@ -57,8 +60,12 @@ from .words import (
     identity_word,
     local_mul,
     noncentral_count,
+    pack_word,
     parse_word,
 )
+
+#: numpy and `floretion.packed`, bound by `_load` on the first product.
+np = packed = None
 
 #: Term pairs per `packed_mul_many` call in a product, which bounds the
 #: memory a product holds besides its result.
@@ -243,7 +250,7 @@ class Element:
         nonzero = sums != 0
         den = xden * yden
         coeffs = [Fraction(s, den) for s in sums[nonzero].tolist()]
-        return Element._canonical(n, dict(zip(unpack_words(keys[nonzero], n), coeffs)))
+        return Element._canonical(n, dict(zip(packed.unpack_words(keys[nonzero], n), coeffs)))
 
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
@@ -289,11 +296,23 @@ class Element:
         return Element(self.order, ((word_map(w), q) for w, q in self.terms.items()))
 
 
+def _load() -> None:
+    """Bind the module globals `np` and `packed` on the first call; after
+    that a call costs one comparison.  Imported in this order, so `packed`
+    is set only once both are."""
+    global np, packed
+    if packed is None:
+        import numpy as np
+        from . import packed
+
+
 def _numerators(terms: Mapping[str, Fraction], n: int) -> tuple[np.ndarray, list[int], int]:
     """Packed order-n words, integer numerators over one common
-    denominator, and that denominator."""
+    denominator, and that denominator.  Every product starts here, so this
+    is where numpy loads."""
+    _load()
     den = math.lcm(*(q.denominator for q in terms.values()))
-    return pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
+    return packed.pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
 
 
 def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,12 +360,14 @@ def _merge(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.
     return _sum_by_key(np.concatenate([k for k, _ in blocks]), np.concatenate([v for _, v in blocks]))
 
 
+@cache
 def _block_matrices() -> np.ndarray:
     """The (16, 4, 4) matrices of the order-2 blocks.  Block v = c1 + 4*c2
     of a packed key holds digits a = code c1 (the left one) and b = code c2,
     and maps to x -> a x conj(b) on the quaternions, rows and columns
     indexed by digit code.  a (x) b -> (x -> a x conj(b)) is the algebra
-    isomorphism from order 2 onto the 4 x 4 matrices."""
+    isomorphism from order 2 onto the 4 x 4 matrices.  Built on the first
+    matrix product and kept."""
     table = np.zeros((16, 4, 4))
     for v in range(16):
         a, b = CODE_DIGIT[v & 3], CODE_DIGIT[v >> 2]
@@ -357,17 +378,15 @@ def _block_matrices() -> np.ndarray:
     return table
 
 
-_BLOCKS = _block_matrices()
-
-
 def _to_matrix(keys: np.ndarray, nums: list[int], m: int) -> np.ndarray:
     """The 2**m x 2**m matrix of sum nums[i] * word(keys[i]) at even order m:
     the Kronecker product of the block matrices, one tensordot per block."""
+    blocks = _block_matrices()
     t = np.zeros(4**m)
     t[keys.astype(np.intp)] = nums
     t = t.reshape((16,) * (m // 2))  # axes: blocks, most significant first
     for _ in range(m // 2):
-        t = np.tensordot(t, _BLOCKS, axes=(0, 0))  # block -> (row, column)
+        t = np.tensordot(t, blocks, axes=(0, 0))  # block -> (row, column)
     return t.transpose([*range(0, m, 2), *range(1, m, 2)]).reshape(2**m, 2**m)
 
 
@@ -375,10 +394,10 @@ def _from_matrix(z: np.ndarray, m: int) -> np.ndarray:
     """2**m times the coefficients of the element whose matrix is z, indexed
     by packed key: the trace form tr(P_w^T z), since tr(P_u^T P_w) is 2**m
     when u = w and 0 otherwise.  The inverse of `_to_matrix`."""
-    k = m // 2
+    k, blocks = m // 2, _block_matrices().reshape(16, 16)
     t = z.reshape((4,) * m).transpose([a for j in range(k) for a in (j, k + j)]).reshape((16,) * k)
     for _ in range(k):
-        t = np.tensordot(t, _BLOCKS.reshape(16, 16), axes=(0, 1))  # (row, column) -> block
+        t = np.tensordot(t, blocks, axes=(0, 1))  # (row, column) -> block
     return t.reshape(-1)
 
 

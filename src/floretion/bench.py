@@ -1,5 +1,6 @@
 """`floretion bench`: time the product kernels, dense `Element` squares, the
-vanishing check, a coefficient stream and a centralizer listing."""
+vanishing check, a coefficient stream, a centralizer listing and three
+README commands end to end as fresh `python -m floretion` processes."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import os
 import platform
 import random
 import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -20,6 +22,18 @@ from .words import all_words, word_mul
 
 #: Seed of the random word pairs and dense elements, so every run times the same inputs.
 SEED = 20260808
+
+#: README commands timed as fresh processes: (record name, label, argv, stdin).
+#: `mul` and the count load no numpy; `pow` multiplies, so it does.
+CLI_COMMANDS = (
+    ("cli_mul_s", "mul iji jek", ["mul", "iji", "jek"], None),
+    ("cli_centralizer_count_s", "centralizer 1711111 --count-only", ["centralizer", "1711111", "--count-only"], None),
+    ("cli_pow_s", "pow - -m 3", ["pow", "-", "-m", "3"],
+     '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}, {"word": "77", "coeff": "1"}]}'),
+)
+
+#: The directory holding this package, put first on the children's PYTHONPATH.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _git_commit() -> str | None:
@@ -42,6 +56,16 @@ def _cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or platform.machine()
+
+
+def _cli(argv: list[str], stdin: str | None) -> None:
+    """Run `python -m floretion argv` on this package in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run(
+        [sys.executable, "-m", "floretion", *argv], input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    if r.returncode:
+        raise ValueError(f"floretion {' '.join(argv)} exited {r.returncode}: {r.stderr.strip()[-200:]}")
 
 
 def environment() -> dict:
@@ -130,4 +154,8 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
         note("centralizer_plus", len(t.plus), "tiles")
         note("centralizer_minus", len(t.minus), "tiles")
         lines.append(f"centralizer scan order {m}: {t.total} tiles listed in {t_scan:.3f} s (plus {len(t.plus)}, minus {len(t.minus)})")
+
+    for name, label, argv, stdin in CLI_COMMANDS:
+        t_cli, _ = timed(name, 3, lambda: _cli(argv, stdin))
+        lines.append(f"CLI {label}: {t_cli * 1e3:.1f} ms wall, fresh process")
     return lines, metrics

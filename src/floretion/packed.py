@@ -20,9 +20,17 @@ oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 `packed_mul_many` holds the one copy of that formula and runs it on numpy
 arrays, a whole batch of word pairs per call, with numpy-scalar masks (with
 Python-int masks the formula takes about 30% longer); every `Element`
-product goes through it.  `pack_words` and `unpack_words` encode and decode
-a batch of words in one pass each.  Negative or oversized words and floats,
-in arrays or not, raise ValueError instead of wrapping or truncating.
+product on the packed path goes through it.  `pack_words` and
+`unpack_words` encode and decode a batch of words in one pass each; the
+one-word `pack_word` and `unpack_word` are pure Python, live in
+`floretion.words` and are re-exported here.  Negative or oversized words
+and floats, in arrays or not, raise ValueError instead of wrapping or
+truncating.
+
+This is the one module besides `floretion.bench` that imports numpy at
+its top.  `floretion.algebra` imports it on the first `Element` product
+and the package on first access to `floretion.packed`, `packed_mul_many`
+or `packed_identity`, so importing `floretion` loads no numpy.
 """
 
 from __future__ import annotations
@@ -32,12 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import CODE_DIGIT, DIGIT_CODE, DIGITS, check_order
+from .words import _LANE_WIDTH, _NOT_WORDS, DIGIT_CODE, DIGITS, check_order, pack_word, unpack_word
 
-_LANE_WIDTH = 2
 #: ASCII digit of each 2-bit lane code (DIGITS is in code order).
 _CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
-_NOT_WORDS = "packed words must be nonnegative integers below 2**64"
 #: `bytes.translate` table to each ASCII digit's lane code; 255 marks a
 #: byte that is not a digit.
 _BYTE_CODES = bytes(DIGIT_CODE.get(chr(b), 255) for b in range(256))
@@ -49,17 +55,6 @@ def lane_masks(n: int) -> tuple[int, int]:
     check_order(n)
     full = (1 << (_LANE_WIDTH * n)) - 1
     return full, full // 3
-
-
-def pack_word(word: str) -> int:
-    """Pack a canonical digit word into its lane integer."""
-    bits = 0
-    for r, d in enumerate(word):
-        try:
-            bits |= DIGIT_CODE[d] << (_LANE_WIDTH * r)
-        except KeyError:
-            raise ValueError(f"invalid digit {d!r} in {word!r}") from None
-    return bits
 
 
 def pack_words(words: Sequence[str], n: int) -> np.ndarray:
@@ -81,16 +76,6 @@ def pack_words(words: Sequence[str], n: int) -> np.ndarray:
     shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
     lanes = np.frombuffer(codes, dtype=np.uint8).reshape(-1, n).astype(np.uint64) << shifts
     return lanes.sum(axis=1, dtype=np.uint64)
-
-
-def unpack_word(bits: int, n: int) -> str:
-    """Unpack a lane integer of order n back to its digit word."""
-    full, _ = lane_masks(n)
-    if not isinstance(bits, int) or bits < 0:
-        raise ValueError(_NOT_WORDS)
-    if bits & ~full:
-        raise ValueError(f"stray bits above lane {2 * n} in {bits:#x}")
-    return "".join(CODE_DIGIT[(bits >> (_LANE_WIDTH * r)) & 3] for r in range(n))
 
 
 def unpack_words(packed, n: int) -> list[str]:

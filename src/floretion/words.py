@@ -23,6 +23,12 @@ with the convention ij = k, jk = i, ki = j and i**2 = j**2 = k**2 = -e,
 e acting as identity; tests pin all 16 entries.
 
 Signs are always carried as the integers +1 / -1, never as booleans.
+
+A word also packs into an integer, one 2-bit lane of digit codes per
+position, position 1 in the least significant lane: `pack_word` and
+`unpack_word` convert one word in pure Python, and `floretion.packed` runs
+the lane rule on numpy arrays of such integers.  They live here, beside
+the digit codes, so that sorting words into canonical order needs no numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ _DIGIT_TO_LETTER = {d: c for c, d in _LETTER_TO_DIGIT.items()}
 #: Two-bit code of each digit (the digit's octal value shifted right by one).
 DIGIT_CODE = {"1": 0, "2": 1, "4": 2, "7": 3}
 CODE_DIGIT = {c: d for d, c in DIGIT_CODE.items()}
+
+#: Bits per digit in a packed word.
+_LANE_WIDTH = 2
+_NOT_WORDS = "packed words must be nonnegative integers below 2**64"
 
 
 class SignedWord(NamedTuple):
@@ -130,6 +140,27 @@ def check_order(n: int) -> None:
     """Raise ValueError unless n is a word length in 1..MAX_ORDER."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+
+
+def pack_word(word: str) -> int:
+    """Pack a canonical digit word into its lane integer."""
+    bits = 0
+    for r, d in enumerate(word):
+        try:
+            bits |= DIGIT_CODE[d] << (_LANE_WIDTH * r)
+        except KeyError:
+            raise ValueError(f"invalid digit {d!r} in {word!r}") from None
+    return bits
+
+
+def unpack_word(bits: int, n: int) -> str:
+    """Unpack a lane integer of order n back to its digit word."""
+    check_order(n)
+    if not isinstance(bits, int) or bits < 0:
+        raise ValueError(_NOT_WORDS)
+    if bits >> (_LANE_WIDTH * n):
+        raise ValueError(f"stray bits above lane {2 * n} in {bits:#x}")
+    return "".join(CODE_DIGIT[(bits >> (_LANE_WIDTH * r)) & 3] for r in range(n))
 
 
 def identity_word(n: int) -> str:

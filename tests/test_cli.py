@@ -418,6 +418,81 @@ def test_bench_module_loads_only_for_a_checked_bench_call():
     assert r.stdout == "77\n" and r.stderr.startswith("error: scan order")
 
 
+#: Runs `cli.main` on each (argv, stdin) of the JSON list in argv[2] and
+#: prints [exit code, stdout] per call, or ["ImportError", ""] when the call
+#: tried to import a blocked module.  With argv[1] == "block", importing
+#: numpy raises ImportError, and the child ends by asserting numpy is unloaded.
+_CLI_CHILD = """
+import contextlib, io, json, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+block = sys.argv[1] == "block"
+if block:
+    sys.meta_path.insert(0, NoNumpy())
+from floretion import cli
+
+def run(argv, stdin):
+    sys.stdin, out = io.StringIO(stdin or ""), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except ImportError:
+            return ["ImportError", ""]
+    return [code, out.getvalue()]
+
+print(json.dumps([run(argv, stdin) for argv, stdin in json.loads(sys.argv[2])]))
+assert not block or "numpy" not in sys.modules, "numpy imported"
+"""
+
+
+def _cli_child(mode, cases):
+    r = subprocess.run([sys.executable, "-c", _CLI_CHILD, mode, json.dumps(cases)], capture_output=True, text=True, env=_ENV)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+#: Commands that multiply no Element, the last four being the malformed
+#: calls of perfbench's cli workload.
+_NUMPY_FREE = [
+    (["mul", "iji", "jek", "--letters"], None),
+    (["centroid", "1247", "--d1", "0.25"], None),
+    (["render", "2"], None),
+    (["symmetry", "apply", "rot", "--word", "1247"], None),
+    (["split", "-"], '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}, {"word": "71", "coeff": "-3"}]}'),
+    (["centralizer", "12471247", "--count-only"], None),
+    (["centralizer", "124"], None),
+    (["--help"], None),
+    (["mul", "12x4", "1247"], None),
+    (["mul", "124", "1247"], None),
+    (["render", "9"], None),
+    (["pow", "-", "-m", "2"], '{"terms": []}'),
+]
+
+
+def test_numpy_free_commands_never_import_numpy():
+    blocked = _cli_child("block", _NUMPY_FREE)
+    assert blocked == _cli_child("allow", _NUMPY_FREE)
+    assert [code for code, _ in blocked] == [0] * 8 + [2] * 4
+    assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
+    assert all(out for _, out in blocked[:8]) and not any(out for _, out in blocked[8:])
+
+
+def test_product_commands_import_numpy():
+    cases = [
+        (["pow", "-", "-m", "2"], _SMALL_ELEMENT),
+        (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "12"], None),
+        (["vanishing", "1212"], None),
+    ]
+    assert _cli_child("block", cases) == [["ImportError", ""]] * 3
+    assert [code for code, _ in _cli_child("allow", cases)] == [0] * 3
+
+
 def test_bench_json_record(tmp_path):
     args = ("bench", "--order", "3", "--iterations", "500", "--scan-order", "4")
     out = tmp_path / "bench.json"
@@ -446,6 +521,15 @@ def test_bench_json_record(tmp_path):
         assert metrics[f"element_square_order{k}_terms_in"] == {"value": 4**k, "unit": "terms"}
         line = f"Element square order {k}: {4**k} terms -> {metrics[f'element_square_order{k}_terms_out']['value']} terms in {row['value']:.4f} s"
         assert line in r.stdout.splitlines()
+    # the CLI rows follow every other line
+    cli_lines = r.stdout.splitlines()[-3:]
+    for (name, label), line in zip(
+        (("cli_mul_s", "mul iji jek"), ("cli_centralizer_count_s", "centralizer 1711111 --count-only"), ("cli_pow_s", "pow - -m 3")),
+        cli_lines,
+    ):
+        row = metrics[name]
+        assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
+        assert line == f"CLI {label}: {row['value'] * 1e3:.1f} ms wall, fresh process"
     row = metrics["check_vanishing_order8"]
     assert row["unit"] == "s" and len(row["runs_s"]) == 3
     assert f"check_vanishing 12121212: true in {row['value']:.3f} s" in r.stdout.splitlines()

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import floretion
 from floretion.packed import (
     lane_masks,
     pack_word,
@@ -201,3 +202,32 @@ def test_batch_kernel_broadcasts():
     signs, prods = packed_mul_many(xs, np.uint64(packed_identity(n)), n)
     assert (signs == 1).all()
     assert (prods == xs).all()
+
+
+#: `dir(floretion)` when the package imported `floretion.packed` eagerly.
+_PUBLIC_NAMES = """
+ALL_PERMS CentralizerTiles DIGITS Element IDENTITY MAX_ORDER Mat2 Perm ROTATE ROTATE2 Recurrence SWAP_12
+SWAP_14 SWAP_24 SignedWord Vec2 __builtins__ __cached__ __doc__ __file__ __loader__ __name__ __package__
+__path__ __spec__ __version__ algebra all_words apply_perm_element apply_perm_word axis_reflection axis_words
+centralizer centralizer_counts centralizer_tiles centroid check_vanishing coeff_stream commutes
+cyclic_orbit_points dihedral_matrix element_from_json element_to_json elementary_vector exp_truncated
+fibonacci_elements find_recurrence format_element format_signed_word format_word geometry identity_word
+is_axis_symmetric is_upward local_cycle local_mul noncentral_count pack_word packed packed_identity
+packed_mul_many padovan_elements parse_perm parse_signed_word parse_word render render_tiling sequences
+sierpinski_support sigma_sums signed_centralizer_order signed_word_inverse signed_word_mul symmetry
+tile_polygon twisted_commute_check unpack_word word_mul words write_b_file
+""".split()
+
+
+def test_public_api_unchanged_by_lazy_numpy():
+    assert set(dir(floretion)) >= set(_PUBLIC_NAMES)
+    for name in _PUBLIC_NAMES:
+        getattr(floretion, name)
+    assert floretion.packed_mul_many is floretion.packed.packed_mul_many
+    assert floretion.pack_word is floretion.packed.pack_word is floretion.words.pack_word
+    assert floretion.unpack_word is floretion.packed.unpack_word is floretion.words.unpack_word
+    from floretion import packed_identity, unpack_word
+
+    assert unpack_word(packed_identity(3), 3) == "777"
+    with pytest.raises(AttributeError, match="no attribute 'packed_words'"):
+        floretion.packed_words
