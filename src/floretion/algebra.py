@@ -28,6 +28,10 @@ chosen by one comparison in `Element.__mul__`:
   and 2, products past the float64 bound and every order above 10 need
   it.
 
+The head powers of a coefficient stream skip `Element` products while x
+is sparse: `_power_coeffs` steps one integer vector over the words supp(x)
+generates, right multiplication by x being one signed gather there.
+
 numpy and `floretion.packed` load on the first product in a process, not
 at import: `_numerators`, where every product starts, calls `_load`, which
 binds the module globals `np` and `packed` once.  Sums, differences,
@@ -255,11 +259,13 @@ class Element:
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {m}")
-        result = Element.one(self.order)
-        base = self
+        if not m:
+            return Element.one(self.order)
+        # square and multiply from the lowest set bit: m = 2**k costs k products
+        result, base = None, self
         while m:
             if m & 1:
-                result = result * base
+                result = base if result is None else result * base
             m >>= 1
             if m:
                 base = base * base
@@ -313,6 +319,79 @@ def _numerators(terms: Mapping[str, Fraction], n: int) -> tuple[np.ndarray, list
     _load()
     den = math.lcm(*(q.denominator for q in terms.values()))
     return packed.pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
+
+
+def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
+    """Coefficients of the canonical `word` in x**1 .. x**count, or None when
+    the span of supp(x) times |x| exceeds `_BLOCK_PAIRS` (the caller then
+    multiplies Elements, where dense operands take the matrix path).
+
+    Right multiplication by a word maps each word to +- one word, so the
+    powers of x stay in the words that supp(x) generates.  With keys
+    relabelled r = key ^ full, the lane product XNOR becomes XOR,
+    r(u v) = r(u) ^ r(v), so those words are the GF(2) span of the
+    relabelled support, 2**rank words.  Each is numbered by its
+    coordinates in a basis of that span, so numbers multiply by XOR too.
+    Over the span, x**m is an integer vector a over d**m, d the common
+    denominator of x, and one right multiplication by x = sum num_j v_j / d
+    is
+
+        a'[t] = sum_j a[t ^ c_j] * s_tj * num_j,
+
+    c_j the number of v_j and s_tj the sign of word(t ^ c_j) v_j = +-word(t),
+    all signs from one `packed_mul_many` call.  A word outside the span
+    has coefficient 0 in every power.
+
+    Exact: each term of a'[t] is at most max|a| * |num_j|, so every partial
+    sum, in whatever order numpy adds, is at most max|a| * sum|num_j|.  Sums
+    run in int64 while that is below 2**62 and in Python ints from the
+    first step where it could reach it.
+    """
+    n = x.order
+    if not x.terms:
+        return [Fraction(0)] * count
+    xs, xnum, den = _numerators(x.terms, n)
+    full = packed.packed_identity(n)
+    basis: list[int] = []  # leading bits distinct, in descending order
+    for r in (key ^ full for key in xs.tolist()):
+        for b in basis:
+            r = min(r, r ^ b)  # clears b's leading bit
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+            if len(xs) << len(basis) > _BLOCK_PAIRS:
+                return None
+    # number a span word by its coordinates: bit i set when its sum takes basis[i]
+    span = np.zeros(1, dtype=np.uint64)
+    keys = np.append(xs, np.uint64(pack_word(word))) ^ np.uint64(full)  # supp(x), then word
+    numbers = np.zeros(len(keys), dtype=np.intp)
+    for i, b in enumerate(map(np.uint64, basis)):
+        span = np.concatenate((span, span ^ b))
+        low = np.minimum(keys, keys ^ b)
+        numbers |= (low != keys).astype(np.intp) << i
+        keys = low
+    if keys[-1]:  # the word is outside the span
+        return [Fraction(0)] * count
+    cols, t = numbers[:-1], int(numbers[-1])
+    idx = np.arange(len(span))[:, None] ^ cols
+    # looked up on the module so a wrapper installed there sees the call
+    signs, _ = packed.packed_mul_many(span[idx] ^ np.uint64(full), xs, n)
+    total = sum(map(abs, xnum))
+    dtype = np.int64 if total < _INT64_LIMIT else object
+    coef = signs * np.array(xnum, dtype=dtype)
+    a = np.zeros(len(span), dtype=dtype)
+    a[cols] = xnum
+    top = max(map(abs, xnum))  # top >= max|a|
+    out = []
+    for m in range(1, count + 1):
+        if m > 1:
+            if a.dtype != object and top * total >= _INT64_LIMIT:
+                top = int(np.abs(a).max())
+                if top * total >= _INT64_LIMIT:
+                    a, coef = a.astype(object), coef.astype(object)
+            a = (a[idx] * coef).sum(axis=1)
+            top *= total
+        out.append(Fraction(int(a[t]), den**m))
+    return out
 
 
 def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
 """`floretion bench`: time the product kernels, dense `Element` squares, the
-vanishing check, a coefficient stream, a centralizer listing and three
+vanishing check, two coefficient streams, a centralizer listing and three
 README commands end to end as fresh `python -m floretion` processes."""
 
 from __future__ import annotations
@@ -146,6 +146,10 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
     t_extend, _ = timed("recurrence_extend_padovan_ik_190", 3, lambda: rec.extend(stream[:10], 190))
     lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
+    rng = random.Random(SEED)  # a sparse element: 4 words of order 3, its whole 18-power head
+    z = Element(3, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(3)), 4)})
+    t_head, _ = timed("coeff_stream_random_order3_head", 3, lambda: coeff_stream(z, z.support()[0], 18))
+    lines.append(f"coeff_stream random order 3: 18 powers of 4 terms in {t_head * 1e3:.3f} ms")
 
     if m:
         t_scan, t = timed("centralizer_scan", 1, lambda: centralizer_tiles("1" + "7" * (m - 1)))

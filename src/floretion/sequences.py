@@ -15,6 +15,13 @@ terms it saw; `coeff_stream` therefore computes at most 2D + 2 powers and
 continues the stream by that recurrence, whose `extend` sums each new term
 in integers and pays one gcd for it.
 
+Those head powers need no `Element` product while x is sparse: right
+multiplication by x maps each basis word to +- one word of the span that
+supp(x) generates, so `algebra._power_coeffs` steps one integer vector
+over that span per power, with one `packed_mul_many` call for the whole
+head.  It runs while |span| * |x| <= `_BLOCK_PAIRS`; a denser x takes
+Element products, where dense operands run on the matrix path.
+
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
 rule (halved), and one that follows the Padovan rule a(m+3) = a(m+1) + a(m).
@@ -29,27 +36,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .algebra import Element
+from .algebra import Element, _power_coeffs
 from .words import parse_word
 
 
 def coeff_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
     """Coefficients of `word` in x**1 .. x**m_max, exactly.
 
-    The first min(m_max, 2D + 2) terms come from powers, D = 2**x.order;
-    later terms follow the recurrence `find_recurrence` finds in them,
-    which is proved for every m because D bounds the stream's order.
+    The first min(m_max, 2D + 2) terms come from powers, D = 2**x.order:
+    from `_power_coeffs` while |span of supp(x)| * |x| <= `_BLOCK_PAIRS`,
+    else from Element products.  Later terms follow the recurrence
+    `find_recurrence` finds in them, which is proved for every m because
+    D bounds the stream's order.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     w = parse_word(word, x.order)
     degree = 2**x.order
-    head = []
-    acc = x
-    for m in range(1, min(m_max, 2 * degree + 2) + 1):
-        if m > 1:
+    count = min(m_max, 2 * degree + 2)
+    head = _power_coeffs(x, w, count)
+    if head is None:
+        head, acc = [x.terms.get(w, Fraction(0))], x
+        for _ in range(1, count):
             acc = acc * x
-        head.append(acc.terms.get(w, Fraction(0)))
+            head.append(acc.terms.get(w, Fraction(0)))
     if m_max == len(head):
         return head
     rec = find_recurrence(head, degree)

@@ -1,5 +1,6 @@
 """Exact element arithmetic, conjugation, parity, exponential, JSON."""
 
+import functools
 import json
 import math
 import random
@@ -327,6 +328,17 @@ def test_pow():
     assert x**5 == x * x * x * x * x
     with pytest.raises(ValueError):
         x**-1
+
+
+@pytest.mark.parametrize(("m", "products"), [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3)])
+def test_pow_products(m, products, monkeypatch):
+    # square and multiply from the lowest set bit, never multiplying by one
+    calls = []
+    real = algebra._numerators
+    monkeypatch.setattr(algebra, "_numerators", lambda *args: calls.append(1) or real(*args))
+    x = Element(2, {"12": 1, "77": F(1, 2)})
+    assert x**m == functools.reduce(reference_mul, [x] * m, Element.one(2))
+    assert len(calls) == 2 * products  # one call per operand
 
 
 def test_conjugate_basics():

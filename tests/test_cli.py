@@ -468,6 +468,8 @@ _NUMPY_FREE = [
     (["centralizer", "12471247", "--count-only"], None),
     (["centralizer", "124"], None),
     (["--help"], None),
+    (["pow", "-", "-m", "1"], _SMALL_ELEMENT),
+    (["coeff", "-", "12", "-m", "1"], _SMALL_ELEMENT),
     (["mul", "12x4", "1247"], None),
     (["mul", "124", "1247"], None),
     (["render", "9"], None),
@@ -478,9 +480,10 @@ _NUMPY_FREE = [
 def test_numpy_free_commands_never_import_numpy():
     blocked = _cli_child("block", _NUMPY_FREE)
     assert blocked == _cli_child("allow", _NUMPY_FREE)
-    assert [code for code, _ in blocked] == [0] * 8 + [2] * 4
+    assert [code for code, _ in blocked] == [0] * 10 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
-    assert all(out for _, out in blocked[:8]) and not any(out for _, out in blocked[8:])
+    assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
+    assert all(out for _, out in blocked[:10]) and not any(out for _, out in blocked[10:])
 
 
 def test_product_commands_import_numpy():
@@ -511,6 +514,7 @@ def test_bench_json_record(tmp_path):
     for name, line in (
         ("find_recurrence_padovan_ik_200", "find_recurrence padovan ik: 200 terms in {:.3f} ms"),
         ("recurrence_extend_padovan_ik_190", "Recurrence.extend padovan ik: 190 terms in {:.3f} ms"),
+        ("coeff_stream_random_order3_head", "coeff_stream random order 3: 18 powers of 4 terms in {:.3f} ms"),
     ):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from floretion import packed
 from floretion.algebra import Element
 from floretion.sequences import (
     Recurrence,
@@ -16,7 +17,7 @@ from floretion.sequences import (
     padovan_elements,
     write_b_file,
 )
-from floretion.words import all_words
+from floretion.words import all_words, word_mul
 from helpers import (
     _solve_exact,
     random_element,
@@ -287,7 +288,8 @@ def test_degree_bound_minimal_polynomial():
 
 def _stream_cases(rng):
     """(element, word) pairs: seeded random elements of orders 1-3 and a few
-    of order 4, both presets on every word, seeded rational Fibonacci seeds."""
+    of order 4, both presets on every word, seeded rational Fibonacci seeds,
+    then edge cases of `_power_coeffs`."""
     for n, count in ((1, 12), (2, 12), (3, 10), (4, 3)):
         for _ in range(count):
             x = random_element(rng, n, max_terms=rng.randint(1, 6))
@@ -300,6 +302,23 @@ def _stream_cases(rng):
     for _ in range(6):
         _, _, z = fibonacci_elements(*(random_fraction(rng, -4, 4, (1, 2, 3, 5)) for _ in range(3)))
         yield z, rng.choice(words2)
+    # numerators near 2**12: max|a| * sum|num| passes 2**62 a few powers into
+    # the 18-power head, so the head's sums move from int64 to Python ints
+    words3 = sorted(all_words(3))
+    x = Element(3, {w: F(rng.choice((-1, 1)) * rng.randint(2**12, 2**13), rng.choice((1, 3))) for w in rng.sample(words3, 4)})
+    yield from ((x, w) for w in sorted(x.terms))
+    # four numerators of 2**30 - 1 keep the second power's sums in int64,
+    # 4 * (2**30 - 1)**2 < 2**62; four of 2**30 sit on the bound and switch
+    for c in (2**30 - 1, 2**30):
+        x = Element(3, {w: rng.choice((-1, 1)) * c for w in rng.sample(words3, 4)})
+        yield from ((x, w) for w in sorted(x.terms))
+    # supp(x) generates only words ending in 77, so 124 is outside the span
+    x = Element(3, {"177": F(1, 2), "277": -3, "477": 2})
+    yield from ((x, w) for w in ("124", "777", "477"))
+    yield Element.zero(3), "777"
+    x = Element(3, {"124": F(-2, 3)})
+    yield from ((x, w) for w in ("124", "777", "421"))
+    yield Element(3, {"777": F(5, 7)}), "777"
 
 
 def test_coeff_stream_matches_reference_stream():
@@ -311,6 +330,45 @@ def test_coeff_stream_matches_reference_stream():
         ref = reference_stream(x, word, m_top)
         for m in sorted({1, 2, head - 1, head, head + 1, head + 2, rng.randint(1, m_top), m_top}):
             assert coeff_stream(x, word, m) == ref[:m], (x, word, m)
+
+
+def _calls(monkeypatch, owner, name) -> list:
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _span(x) -> set[str]:
+    """The words supp(x) generates, closed under `word_mul`."""
+    words = {"7" * x.order}
+    while True:
+        more = words | {word_mul(u, v)[1] for u in words for v in x.terms}
+        if more == words:
+            return words
+        words = more
+
+
+def test_kernel_head_route(monkeypatch):
+    # the kernel runs while |span| * |x| <= _BLOCK_PAIRS, else Element products
+    rng = random.Random(20261021)
+    products = _calls(monkeypatch, Element, "__mul__")
+    for n, terms, kernel in ((3, 64, True), (4, 64, True), (4, 65, False), (4, 256, False)):
+        x = Element(n, {w: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(n)), terms)})
+        assert len(_span(x)) == 4**n  # so |span| * |x| is 4**n * terms
+        head = 2 * 2**n + 2
+        products.clear()
+        stream = coeff_stream(x, "1" * n, head)
+        assert (not products) is kernel, (n, terms)
+        assert stream == reference_stream(x, "1" * n, head)
+
+
+def test_padovan_stream_makes_no_element_product(monkeypatch):
+    _, _, y = padovan_elements()
+    products = _calls(monkeypatch, Element, "__mul__")
+    batches = _calls(monkeypatch, packed, "packed_mul_many")
+    assert coeff_stream(y, "14", 200)[:12] == [F(v, 4) for v in (1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16)]
+    assert not products and len(batches) <= 2
 
 
 def test_write_b_file():
