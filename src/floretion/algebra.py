@@ -32,11 +32,16 @@ The head powers of a coefficient stream skip `Element` products while x
 is sparse: `_power_coeffs` steps one integer vector over the words supp(x)
 generates, right multiplication by x being one signed gather there.
 
+An Element caches its integer form (packed keys, numerators over their
+least common denominator, that denominator) in its `_packed` slot, set by
+`_numerators` on first use or by the product that made it, so an operand
+used again, as in x * x or a power, is packed once.
+
 numpy and `floretion.packed` load on the first product in a process, not
 at import: `_numerators`, where every product starts, calls `_load`, which
 binds the module globals `np` and `packed` once.  Sums, differences,
-conjugation, parity, JSON and canonical term order (by the pure-Python
-`pack_word`) need neither, so neither do the CLI commands built on them.
+conjugation, parity, JSON and canonical term order (a sort by the
+reversed word) need neither, so neither do the CLI commands built on them.
 
 Canonical form: zero coefficients are never stored, and serialized term
 order is ascending packed word value, so equal elements serialize
@@ -90,15 +95,20 @@ _MATRIX_ORDERS = range(4, 11, 2)
 #: it starts to beat the packed path at padded order 4 (measured; see README).
 _MATRIX_PAIRS_PER_ENTRY = 16
 
+#: Sort key of canonical term order: the word reversed, most significant lane first.
+_reversed = operator.itemgetter(slice(None, None, -1))
+
 
 class Element:
     """An exact-rational linear combination of order-n basis words.
 
     Treat instances as immutable values: every operation returns a new
-    Element and the term map is never mutated after construction.
+    Element and the term map is never mutated after construction.  The one
+    slot set later is `_packed`, a cache of what `terms` determine (see
+    `_numerators`).
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "terms", "_packed")
 
     def __init__(self, order: int, terms: Mapping[str, Fraction | int | str] | Iterable[tuple[str, Fraction | int | str]] | None = None):
         """Terms from a mapping or (word, coefficient) pairs in one pass: each word parsed
@@ -107,12 +117,13 @@ class Element:
         clean: dict[str, Fraction] = {}
         if terms:
             for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-                q = Fraction(coeff)
+                q = coeff if type(coeff) is Fraction else Fraction(coeff)
                 w = parse_word(word, order)
                 clean[w] = clean[w] + q if w in clean else q
             clean = {w: q for w, q in clean.items() if q}
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -135,6 +146,7 @@ class Element:
         x = object.__new__(cls)
         object.__setattr__(x, "order", order)
         object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "_packed", None)
         return x
 
     # -- basics ------------------------------------------------------------
@@ -144,8 +156,10 @@ class Element:
         return Fraction(self.terms.get(parse_word(word, self.order), 0))
 
     def support(self) -> list[str]:
-        """Words with nonzero coefficient, in canonical order."""
-        return sorted(self.terms, key=pack_word)
+        """Words with nonzero coefficient, in canonical order: ascending
+        packed value, which is the order of the reversed words as strings
+        (lane 1 is the least significant, and digit codes follow ASCII)."""
+        return sorted(self.terms, key=_reversed)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -211,7 +225,13 @@ class Element:
         """Exact product; an int or Fraction scales.  A zero operand gives zero at once.
 
         Both sides become integer numerators over one common denominator
-        each; two paths sum their signed products per product word.
+        each (`_numerators`, cached on the operand); two paths sum their
+        signed products per product word.  The result caches its own form:
+        the nonzero sums s_i over den = xden * yden, divided by
+        g = gcd(den, s_1, ..., s_k).  That is what `_numerators` computes
+        from the result's terms: each s_i / den reduces to a denominator
+        den / gcd(den, s_i), whose lcm over i is den / g, and ascending keys
+        are the order in which the terms are built.
 
         *Matrix path.*  Let m = n + n % 2 (an odd order runs as x (x) 7,
         an algebra map), X = max|num x| and Y = max|num y|.  It runs when
@@ -243,8 +263,8 @@ class Element:
         n = self.order
         if not (self.terms and other.terms):
             return Element.zero(n)
-        xs, xnum, xden = _numerators(self.terms, n)
-        ys, ynum, yden = _numerators(other.terms, n)
+        xs, xnum, xden = _numerators(self)
+        ys, ynum, yden = _numerators(other)
         top = max(map(abs, xnum)) * max(map(abs, ynum))
         m = n + n % 2
         if m in _MATRIX_ORDERS and len(xs) * len(ys) >= _MATRIX_PAIRS_PER_ENTRY * 4**m and 16**m * top < _FLOAT64_EXACT:
@@ -252,9 +272,13 @@ class Element:
         else:
             keys, sums = _packed_sums(xs, xnum, ys, ynum, n, top)
         nonzero = sums != 0
-        den = xden * yden
-        coeffs = [Fraction(s, den) for s in sums[nonzero].tolist()]
-        return Element._canonical(n, dict(zip(packed.unpack_words(keys[nonzero], n), coeffs)))
+        keys, nums, den = keys[nonzero], sums[nonzero].tolist(), xden * yden
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [s // g for s in nums], den // g
+        z = Element._canonical(n, dict(zip(packed.unpack_words(keys, n), [Fraction(s, den) for s in nums])))
+        object.__setattr__(z, "_packed", (keys, nums, den))
+        return z
 
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
@@ -312,13 +336,20 @@ def _load() -> None:
         from . import packed
 
 
-def _numerators(terms: Mapping[str, Fraction], n: int) -> tuple[np.ndarray, list[int], int]:
-    """Packed order-n words, integer numerators over one common
-    denominator, and that denominator.  Every product starts here, so this
-    is where numpy loads."""
+def _numerators(x: Element) -> tuple[np.ndarray, list[int], int]:
+    """x's packed words, its integer numerators over their least common
+    denominator, and that denominator, all in the order of `x.terms`.
+    Every product starts here, so this is where numpy loads.  Built once
+    per Element, whose terms never change, and kept in its `_packed` slot;
+    `Element.__mul__` sets its result's slot to the same value."""
     _load()
-    den = math.lcm(*(q.denominator for q in terms.values()))
-    return packed.pack_words(list(terms), n), [q.numerator * (den // q.denominator) for q in terms.values()], den
+    if x._packed is None:
+        # packed first, so that the peak of `pack_words` does not add to the pairs
+        keys = packed.pack_words(list(x.terms), x.order)
+        pairs = [q.as_integer_ratio() for q in x.terms.values()]
+        den = math.lcm(*(d for _, d in pairs))
+        object.__setattr__(x, "_packed", (keys, [p * (den // d) for p, d in pairs], den))
+    return x._packed
 
 
 def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
@@ -350,7 +381,7 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     n = x.order
     if not x.terms:
         return [Fraction(0)] * count
-    xs, xnum, den = _numerators(x.terms, n)
+    xs, xnum, den = _numerators(x)
     full = packed.packed_identity(n)
     basis: list[int] = []  # leading bits distinct, in descending order
     for r in (key ^ full for key in xs.tolist()):

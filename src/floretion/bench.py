@@ -1,6 +1,7 @@
-"""`floretion bench`: time the product kernels, dense `Element` squares, the
-vanishing check, two coefficient streams, a centralizer listing and three
-README commands end to end as fresh `python -m floretion` processes."""
+"""`floretion bench`: time the product kernels, dense `Element` squares, a
+sparse `Element` product, the JSON round trip, the vanishing check, two
+coefficient streams, a centralizer listing and three README commands end to
+end as fresh `python -m floretion` processes."""
 
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Element
+from .algebra import Element, element_from_json, element_to_json
 from .centralizer import centralizer_tiles, check_vanishing
 from .packed import lane_masks, packed_mul_many, unpack_words
 from .sequences import coeff_stream, find_recurrence, padovan_elements
-from .words import all_words, word_mul
+from .words import all_words, unpack_word, word_mul
 
 #: Seed of the random word pairs and dense elements, so every run times the same inputs.
 SEED = 20260808
@@ -66,6 +67,12 @@ def _cli(argv: list[str], stdin: str | None) -> None:
     )
     if r.returncode:
         raise ValueError(f"floretion {' '.join(argv)} exited {r.returncode}: {r.stderr.strip()[-200:]}")
+
+
+def _uncached(x: Element) -> Element:
+    """x without its cached packed form, so that a timed product packs its
+    operands as their first product does."""
+    return Element._canonical(x.order, x.terms)
 
 
 def environment() -> dict:
@@ -131,10 +138,18 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     for k in (4, 5, 6):
         rng = random.Random(SEED)  # a dense element: all 4**k words
         x = Element(k, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in all_words(k)})
-        t_square, square = timed(f"element_square_order{k}", 3, lambda: x * x)
+        t_square, square = timed(f"element_square_order{k}", 3, lambda: (c := _uncached(x)) * c)
         note(f"element_square_order{k}_terms_in", len(x.terms), "terms")
         note(f"element_square_order{k}_terms_out", len(square.terms), "terms")
         lines.append(f"Element square order {k}: {len(x.terms)} terms -> {len(square.terms)} terms in {t_square:.4f} s")
+    # the shapes of the algebra-dense workload's 8 x 256 product and JSON round trip
+    rng = random.Random(SEED)
+    x, y, z = (Element(5, {unpack_word(v, 5): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                           for v in rng.sample(range(4**5), k)}) for k in (8, 256, 256))
+    t_sparse, _ = timed("element_product_order5_8x256", 3, lambda: _uncached(x) * _uncached(y))
+    lines.append(f"Element product order 5: 8 x 256 terms in {t_sparse * 1e3:.3f} ms")
+    t_json, _ = timed("element_json_round_trip_order5_256", 3, lambda: element_from_json(element_to_json(z)))
+    lines.append(f"Element JSON round trip order 5: 256 terms in {t_json * 1e3:.3f} ms")
     t_vanish, vanishes = timed("check_vanishing_order8", 3, lambda: check_vanishing("12121212"))
     lines.append(f"check_vanishing 12121212: {str(vanishes).lower()} in {t_vanish:.3f} s")
 

@@ -41,8 +41,8 @@ SCAN_MAX_ORDER = 12
 #: `check_vanishing` multiplies two sums of 4**(n-1) words with coefficient
 #: 1, so 16**10 < 2**53 keeps both products on the exact float64 matrix path
 #: of `Element.__mul__` up to order 10.  Fresh-process CLI calls on a 2-vCPU
-#: x86-64 host, whose speed drifts, took 0.3-0.6 s (38 MB peak) at order 8,
-#: 0.5-0.6 s (77 MB) at order 9 and 1.1-1.6 s (136 MB) at order 10.  Order
+#: x86-64 host, whose speed drifts, took 0.28-0.29 s (38 MB peak) at order 8,
+#: 0.57-0.69 s (77 MB) at order 9 and 0.95-1.23 s (141 MB) at order 10.  Order
 #: 11 would fall to the packed path's 4**20 term pairs per product, hours
 #: of work.
 VANISHING_MAX_ORDER = 10

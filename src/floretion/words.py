@@ -95,6 +95,9 @@ def parse_word(text: str, order: int | None = None) -> str:
     per-character mix.  Rejects empty words, words longer than MAX_ORDER,
     and, when `order` is given, words of any other length.
     """
+    # a digit word of an accepted length is already canonical
+    if type(text) is str and text and not text.strip(DIGITS) and len(text) <= MAX_ORDER and order in (None, len(text)):
+        return text
     out = []
     for ch in text:
         if ch in DIGIT_CODE:

@@ -203,7 +203,7 @@ def _matrix_mul(x, y):
     """x * y through the matrix path's numerator sums alone, whatever the
     dispatch rule of `Element.__mul__` would choose."""
     n = x.order
-    (xs, xnum, xden), (ys, ynum, yden) = algebra._numerators(x.terms, n), algebra._numerators(y.terms, n)
+    (xs, xnum, xden), (ys, ynum, yden) = algebra._numerators(x), algebra._numerators(y)
     sums = algebra._matrix_sums(xs, xnum, ys, ynum, n)
     words = [unpack_word(v, n) for v in range(4**n)]
     return Element(n, zip(words, (Fraction(s, xden * yden) for s in sums.tolist())))
@@ -341,6 +341,56 @@ def test_pow_products(m, products, monkeypatch):
     assert len(calls) == 2 * products  # one call per operand
 
 
+def _assert_cached_form(z):
+    """z's cached packed form equals the form computed from its terms alone."""
+    assert z._packed is not None
+    keys, nums, den = z._packed
+    fresh_keys, fresh_nums, fresh_den = algebra._numerators(Element._canonical(z.order, z.terms))
+    assert keys.dtype == fresh_keys.dtype and keys.tolist() == fresh_keys.tolist()
+    assert (nums, den) == (fresh_nums, fresh_den)
+
+
+def test_packed_cache_equals_recomputation(monkeypatch):
+    # the form a product caches on its result, and `_numerators` on an
+    # operand, is what its terms give, on both paths, int64 and object sums,
+    # cancelling products, squares and powers
+    calls = _count_matrix_calls(monkeypatch)
+    rng = random.Random(2016)
+    for n in range(1, 7):
+
+        def sample(k, coeff=lambda: rng.choice((-1, 1)) * random_fraction(rng, 1, 9, _MIXED)):
+            return Element(n, {unpack_word(v, n): coeff() for v in rng.sample(range(4**n), min(k, 4**n))})
+
+        dense, x, y = sample(4**n), sample(30), sample(20)
+        big = sample(12, lambda: F(2**40 + rng.randint(-99, 99), rng.choice(_MIXED)))
+        cases = [(x, y), (y, x), (big, x), (big, big), (dense, dense), (dense, x), (x, -x)]
+        if n > 1:
+            cases.append(sigma_sums(("12" * n)[: n - n % 2] + "7" * (n % 2)))
+        del calls[:]
+        for a, b in cases:
+            z = a * b
+            for e in (z, a, b):
+                _assert_cached_form(e)
+            assert z == Element(n, a.terms) * Element(n, b.terms)
+        assert (cases[-1][0] * cases[-1][1]).is_zero() or n == 1
+        assert bool(calls) == (n > 2)  # dense products take the matrix path from padded order 4
+        fresh = Element(n, x.terms)
+        square = fresh * fresh
+        _assert_cached_form(square)
+        small = sample(5)
+        for m in (3, 5):
+            power = Element(n, small.terms) ** m
+            _assert_cached_form(power)
+            assert power == functools.reduce(reference_mul, [small] * m)
+        # the head kernel reads a product's cached form
+        w = random_word(rng, n)
+        assert algebra._power_coeffs(square, w, 6) == algebra._power_coeffs(Element(n, square.terms), w, 6)
+        # everything but a product leaves the slot empty
+        built = (Element(n, x.terms), Element._canonical(n, x.terms), x + y, x - y, -x, x.scaled(F(2, 3)),
+                 x.conjugate(), *x.parity_split(), Element.zero(n) * x)
+        assert all(e._packed is None for e in built)
+
+
 def test_conjugate_basics():
     assert Element.one(3).conjugate() == Element.one(3)
     # two non-7 digits: fixed
@@ -427,6 +477,20 @@ def test_json_roundtrip_and_canonical_order():
     # ascending packed value: 71 packs below 12, 12 below 77
     assert [t["word"] for t in data["terms"]] == ["71", "12", "77"]
     assert data["terms"][0]["coeff"] == "-3/2"
+
+
+def test_canonical_order_is_packed_order():
+    # support() and the JSON terms ascend by packed value: every word up to
+    # order 5, and seeded words at orders 12, 20 and 32
+    rng = random.Random(1232)
+    supports = [list(all_words(n)) for n in range(1, 6)]
+    supports += [[random_word(rng, n) for _ in range(300)] for n in (12, 20, 32)]
+    for words in supports:
+        rng.shuffle(words)
+        x = Element(len(words[0]), dict.fromkeys(words, 1))
+        want = sorted(set(words), key=pack_word)
+        assert x.support() == want
+        assert [t["word"] for t in json.loads(element_to_json(x))["terms"]] == want
 
 
 def test_json_accepts_letters():

@@ -401,6 +401,8 @@ def test_bench_smoke():
     assert "Element square order 4: 256 terms -> 256 terms in " in r.stdout
     assert "Element square order 5: 1024 terms -> 1024 terms in " in r.stdout
     assert "Element square order 6: 4096 terms -> 4096 terms in " in r.stdout
+    assert "Element product order 5: 8 x 256 terms in " in r.stdout
+    assert "Element JSON round trip order 5: 256 terms in " in r.stdout
     assert "check_vanishing 12121212: true in " in r.stdout
     assert "centralizer scan order 5" in r.stdout
 
@@ -416,6 +418,27 @@ def test_bench_module_loads_only_for_a_checked_bench_call():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "77\n" and r.stderr.startswith("error: scan order")
+
+
+def test_entry_sets_one_blas_thread_unless_set():
+    # the entry sets OPENBLAS_NUM_THREADS before numpy loads, keeps a value
+    # already set, and `cli.main`, the library side, leaves it alone
+    code = (
+        "import os, sys\n"
+        "from floretion import cli\n"
+        "from floretion.__main__ import main\n"
+        "assert cli.main(['mul', '12', '12']) == 0\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+        "sys.argv = ['floretion', 'mul', '12', '12']\n"
+        "assert main() == 0\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+    )
+    env = {k: v for k, v in _ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "77\nNone False\n77\n1 False\n"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert r.stdout == "77\n2 False\n77\n2 False\n"
 
 
 #: Runs `cli.main` on each (argv, stdin) of the JSON list in argv[2] and
@@ -515,6 +538,8 @@ def test_bench_json_record(tmp_path):
         ("find_recurrence_padovan_ik_200", "find_recurrence padovan ik: 200 terms in {:.3f} ms"),
         ("recurrence_extend_padovan_ik_190", "Recurrence.extend padovan ik: 190 terms in {:.3f} ms"),
         ("coeff_stream_random_order3_head", "coeff_stream random order 3: 18 powers of 4 terms in {:.3f} ms"),
+        ("element_product_order5_8x256", "Element product order 5: 8 x 256 terms in {:.3f} ms"),
+        ("element_json_round_trip_order5_256", "Element JSON round trip order 5: 256 terms in {:.3f} ms"),
     ):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3

@@ -49,6 +49,8 @@ def test_letter_aliases():
     assert parse_word("ijke") == "1247"
     assert format_word("1247", letters=True) == "ijke"
     assert parse_word("1j4e") == "1247"
+    assert parse_word("ijke", 4) == parse_word("1247", 4) == parse_word("i2k7") == "1247"
+    assert parse_word("e" * MAX_ORDER, MAX_ORDER) == "7" * MAX_ORDER
 
 
 def test_local_mul_matches_quaternion_table():
@@ -146,16 +148,20 @@ def test_signed_inverse():
 
 
 def test_parse_word_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty word$"):
         parse_word("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid word character '5' in '125'$"):
         parse_word("125")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid word character 'x' in '1x'$"):
         parse_word("1x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a word of length 3, got '12'$"):
         parse_word("12", order=3)
-    with pytest.raises(ValueError):
-        parse_word("1" * (MAX_ORDER + 1))
+    with pytest.raises(ValueError, match="^expected a word of length 3, got 'ij'$"):
+        parse_word("ij", order=3)
+    for text in ("1" * (MAX_ORDER + 1), "i" * (MAX_ORDER + 1)):
+        for order in (None, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match=f"^word length {MAX_ORDER + 1} exceeds maximum order {MAX_ORDER}$"):
+                parse_word(text, order)
     assert parse_word("1" * MAX_ORDER) == "1" * MAX_ORDER
 
 
