@@ -128,6 +128,11 @@ class Element:
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through `_canonical`: restoring
+        # the slots one by one would go through `__setattr__`
+        return Element._canonical, (self.order, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

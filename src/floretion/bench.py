@@ -1,7 +1,7 @@
 """`floretion bench`: time the product kernels, dense `Element` squares, a
 sparse `Element` product, the JSON round trip, the vanishing check, two
-coefficient streams, a centralizer listing and three README commands end to
-end as fresh `python -m floretion` processes."""
+coefficient streams, an overlay render, a centralizer listing and three
+README commands end to end as fresh `python -m floretion` processes."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import Element, element_from_json, element_to_json
 from .centralizer import centralizer_tiles, check_vanishing
 from .packed import lane_masks, packed_mul_many, unpack_words
+from .render import render_tiling
 from .sequences import coeff_stream, find_recurrence, padovan_elements
 from .words import all_words, unpack_word, word_mul
 
@@ -165,6 +166,12 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     z = Element(3, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(3)), 4)})
     t_head, _ = timed("coeff_stream_random_order3_head", 3, lambda: coeff_stream(z, z.support()[0], 18))
     lines.append(f"coeff_stream random order 3: 18 powers of 4 terms in {t_head * 1e3:.3f} ms")
+
+    rng = random.Random(SEED)  # the tiles workload's overlay render; 4**6 - 1 packs the identity word
+    t = centralizer_tiles(unpack_word(rng.randrange(4**6 - 1), 6))
+    extra = dict.fromkeys(t.plus, "highlight-plus") | dict.fromkeys(t.minus, "highlight-minus")
+    t_render, _ = timed("render_tiling_depth6", 3, lambda: render_tiling(6, extra_classes=extra))
+    lines.append(f"render_tiling depth 6: 4096 tiles, plus/minus overlay of {t.base}, in {t_render * 1e3:.3f} ms")
 
     if m:
         t_scan, t = timed("centralizer_scan", 1, lambda: centralizer_tiles("1" + "7" * (m - 1)))

@@ -60,9 +60,12 @@ def lane_masks(n: int) -> tuple[int, int]:
 def pack_words(words: Sequence[str], n: int) -> np.ndarray:
     """Pack canonical digit words of order n into a uint64 array, in order.
 
-    Translates the joined words to lane codes in one pass and shifts them
-    into place as one (N, n) array.  Raises ValueError like `pack_word` on
-    a bad digit, and on a word whose length is not n.
+    Translates the joined words to lane codes in one pass, read as one
+    (N, n) uint8 table, and sums each row against the lane weights 4**r in
+    one `np.einsum`, which widens the codes through a small buffer, so
+    besides the codes nothing larger than the result is allocated.  Raises
+    ValueError like `pack_word` on a bad digit, and on a word whose length
+    is not n.
     """
     check_order(n)
     if words and set(map(len, words)) != {n}:
@@ -73,9 +76,9 @@ def pack_words(words: Sequence[str], n: int) -> np.ndarray:
     if 255 in codes:
         for w in words:
             pack_word(w)
-    shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
-    lanes = np.frombuffer(codes, dtype=np.uint8).reshape(-1, n).astype(np.uint64) << shifts
-    return lanes.sum(axis=1, dtype=np.uint64)
+    lanes = np.frombuffer(codes, dtype=np.uint8).reshape(-1, n)
+    weights = np.uint64(1 << _LANE_WIDTH) ** np.arange(n, dtype=np.uint64)
+    return np.einsum("ij,j->i", lanes, weights, dtype=np.uint64)
 
 
 def unpack_words(packed, n: int) -> list[str]:

@@ -5,6 +5,15 @@ coordinate formatting, so identical inputs always produce byte-identical
 files.  Math coordinates have y pointing up; SVG has y pointing down, so y
 is negated at formatting time (labels would mirror under a transform).
 
+The centroid map reads a word left to right, one halved step per digit, and
+a 7 flips every later step, so the 4**n centroids are prefix sums: one walk
+over the prefixes, one level per position, yields every tile's centroid and
+orientation sign in canonical order.  Each partial sum repeats the float
+operations of `geometry.centroid` in the same order, so every coordinate is
+the same double, and the vertices are placed as `geometry.tile_polygon`
+places them.  The vertices fall on a small lattice of distinct values, so
+each distinct double is formatted once per call through a memo.
+
 Polygon classes: "up" / "down" from the tile orientation, plus an optional
 extra class per word ("highlight", "highlight-plus", "highlight-minus").
 """
@@ -14,8 +23,8 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
-from .words import all_words, format_word
+from .geometry import _VERTEX_ORDER, DEFAULT_R0, UNIT_VECTOR
+from .words import format_word
 
 #: Depth cap for rendering; 4**8 polygons is already a ~10 MB file.
 RENDER_MAX_DEPTH = 8
@@ -34,6 +43,14 @@ def _fmt(v: float) -> str:
     # fixed decimals for byte-stable output; 6 digits resolves depth-8 tiles
     s = f"{v:.6f}"
     return "0.000000" if s == "-0.000000" else s
+
+
+class _FmtMemo(dict):
+    """`_fmt` of each float key, computed on first lookup."""
+
+    def __missing__(self, v: float) -> str:
+        s = self[v] = _fmt(v)
+        return s
 
 
 def _check_limits(n: int, r0: float) -> None:
@@ -76,17 +93,32 @@ def render_tiling(
         _STYLE + f"    polygon {{ stroke-width: {_fmt(stroke)}; }}",
         "  </style>",
     ]
-    for w in all_words(n):
-        cls = "up" if is_upward(w) else "down"
+    # prefix walk: (word, centroid x, y, sign of the next step); the digit
+    # loop is outermost, so position 1 varies fastest, as in `all_words`
+    tiles = [("", 0.0, 0.0, 1.0)]
+    step = r0 / 2.0
+    for _ in range(n):
+        tiles = [
+            (w + d, x + s * step * v.x, y + s * step * v.y, -s if d == "7" else s)
+            for d, v in UNIT_VECTOR.items()
+            for w, x, y, s in tiles
+        ]
+        step *= 0.5
+    # a tile points up exactly when its word holds an even number of 7s,
+    # that is when its final sign is +1; the vertices sit at sign * r
+    (ax, ay), (bx, by), (cx, cy) = ((UNIT_VECTOR[d].x, UNIT_VECTOR[d].y) for d in _VERTEX_ORDER)
+    r = r0 / 2**n
+    f = _FmtMemo()
+    for w, x, y, s in tiles:
+        cls = "up" if s > 0 else "down"
         if w in extra:
             cls += " " + extra[w]
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in tile_polygon(w, r0))
-        lines.append(f'  <polygon class="{cls}" points="{pts}"/>')
+        a = s * r
+        lines.append(
+            f'  <polygon class="{cls}" points="{f[x + a * ax]},{f[-(y + a * ay)]} '
+            f'{f[x + a * bx]},{f[-(y + a * by)]} {f[x + a * cx]},{f[-(y + a * cy)]}"/>'
+        )
         if labels:
-            c = centroid(w, r0 / 2.0)
-            lines.append(
-                f'  <text x="{_fmt(c.x)}" y="{_fmt(-c.y)}" font-size="{_fmt(font)}">'
-                f"{format_word(w, letters)}</text>"
-            )
+            lines.append(f'  <text x="{f[x]}" y="{f[-y]}" font-size="{f[font]}">{format_word(w, letters)}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

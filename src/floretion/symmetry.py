@@ -24,6 +24,8 @@ from .geometry import Vec2, centroid
 from .words import parse_word
 
 _CORNER_DIGITS = "124"
+#: `str.translate` table deleting the four digits: only a non-digit survives it.
+_DROP_DIGITS = str.maketrans("", "", "1247")
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class Perm:
     def __post_init__(self):
         if tuple(sorted(self.images)) != ("1", "2", "4"):
             raise ValueError(f"images must be a permutation of 1, 2, 4: {self.images!r}")
+        # `str.translate` table of the whole-word action, for `apply_perm_word`
+        object.__setattr__(self, "_table", str.maketrans(_CORNER_DIGITS, "".join(self.images)))
 
     @classmethod
     def from_images(cls, text: str) -> "Perm":
@@ -125,7 +129,10 @@ def parse_perm(text: str) -> Perm:
 
 def apply_perm_word(pi: Perm, word: str) -> str:
     """Apply a digit permutation at every position of a word."""
-    return "".join(pi(d) for d in word)
+    out = word.translate(pi._table)
+    if out.translate(_DROP_DIGITS):  # not all digits: raise as `pi` does on the first bad one
+        return "".join(pi(d) for d in word)
+    return out
 
 
 def apply_perm_element(pi: Perm, x: Element) -> Element:

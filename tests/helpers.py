@@ -1,11 +1,14 @@
 """Shared generators for randomized (seeded) test loops."""
 
+import math
 from fractions import Fraction
 
 from floretion.algebra import Element
+from floretion.geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
+from floretion.render import _STYLE, _check_limits, _fmt
 from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
-from floretion.words import DIGITS, parse_word, word_mul
+from floretion.words import DIGITS, all_words, format_word, parse_word, word_mul
 
 
 def random_fraction(rng, lo=-4, hi=4, denominators=(1, 2, 3, 4)) -> Fraction:
@@ -105,3 +108,42 @@ def reference_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
             acc = acc * x
         out.append(acc.terms.get(w, Fraction(0)))
     return out
+
+
+def reference_render(n, r0=DEFAULT_R0, labels=False, letters=False, extra_classes=None) -> str:
+    """Oracle for `render_tiling`: one `tile_polygon`, `centroid` and
+    `is_upward` call per word of `all_words`, every float formatted anew."""
+    _check_limits(n, r0)
+    extra = dict(extra_classes or {})
+
+    half_width = r0 * math.sqrt(3.0) / 2.0
+    margin = 0.05 * r0
+    vx = -(half_width + margin)
+    vy = -(r0 + margin)
+    vw = 2 * (half_width + margin)
+    vh = 1.5 * r0 + 2 * margin
+    stroke = r0 / 2**n * 0.04
+    font = r0 / 2**n * 0.55
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
+        "  <style>",
+        _STYLE + f"    polygon {{ stroke-width: {_fmt(stroke)}; }}",
+        "  </style>",
+    ]
+    for w in all_words(n):
+        cls = "up" if is_upward(w) else "down"
+        if w in extra:
+            cls += " " + extra[w]
+        pts = " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in tile_polygon(w, r0))
+        lines.append(f'  <polygon class="{cls}" points="{pts}"/>')
+        if labels:
+            c = centroid(w, r0 / 2.0)
+            lines.append(
+                f'  <text x="{_fmt(c.x)}" y="{_fmt(-c.y)}" font-size="{_fmt(font)}">'
+                f"{format_word(w, letters)}</text>"
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

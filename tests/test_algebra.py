@@ -1,8 +1,10 @@
 """Exact element arithmetic, conjugation, parity, exponential, JSON."""
 
+import copy
 import functools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import chain
@@ -557,3 +559,18 @@ def test_element_immutability():
     x = Element(2, {"12": 1})
     with pytest.raises(AttributeError):
         x.order = 3
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    rng = random.Random(17)
+    x = random_element(rng, 3, 8)
+    y = x * x  # a product's result carries its packed form
+    for z in (x, y, Element.zero(2), Element.one(4)):
+        for clone in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert type(clone) is Element
+            assert clone == z and clone.order == z.order and clone.terms == z.terms
+            assert clone * Element.one(z.order) == z
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.order = 1
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.terms = {}

@@ -404,6 +404,7 @@ def test_bench_smoke():
     assert "Element product order 5: 8 x 256 terms in " in r.stdout
     assert "Element JSON round trip order 5: 256 terms in " in r.stdout
     assert "check_vanishing 12121212: true in " in r.stdout
+    assert "render_tiling depth 6: 4096 tiles, plus/minus overlay of " in r.stdout
     assert "centralizer scan order 5" in r.stdout
 
 
@@ -493,6 +494,8 @@ _NUMPY_FREE = [
     (["--help"], None),
     (["pow", "-", "-m", "1"], _SMALL_ELEMENT),
     (["coeff", "-", "12", "-m", "1"], _SMALL_ELEMENT),
+    (["render", "3", "--labels", "--letters"], None),
+    (["centralizer", "1247", "--svg", "-"], None),
     (["mul", "12x4", "1247"], None),
     (["mul", "124", "1247"], None),
     (["render", "9"], None),
@@ -503,10 +506,11 @@ _NUMPY_FREE = [
 def test_numpy_free_commands_never_import_numpy():
     blocked = _cli_child("block", _NUMPY_FREE)
     assert blocked == _cli_child("allow", _NUMPY_FREE)
-    assert [code for code, _ in blocked] == [0] * 10 + [2] * 4
+    assert [code for code, _ in blocked] == [0] * 12 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
     assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
-    assert all(out for _, out in blocked[:10]) and not any(out for _, out in blocked[10:])
+    assert blocked[10][1].count("<text") == 64 and blocked[11][1].count(" highlight-") == 128
+    assert all(out for _, out in blocked[:12]) and not any(out for _, out in blocked[12:])
 
 
 def test_product_commands_import_numpy():
@@ -520,6 +524,10 @@ def test_product_commands_import_numpy():
 
 
 def test_bench_json_record(tmp_path):
+    from floretion.bench import SEED
+    from floretion.words import unpack_word
+
+    render_word = unpack_word(random.Random(SEED).randrange(4**6 - 1), 6)
     args = ("bench", "--order", "3", "--iterations", "500", "--scan-order", "4")
     out = tmp_path / "bench.json"
     r = run_cli(*args, "--json", str(out))
@@ -540,6 +548,7 @@ def test_bench_json_record(tmp_path):
         ("coeff_stream_random_order3_head", "coeff_stream random order 3: 18 powers of 4 terms in {:.3f} ms"),
         ("element_product_order5_8x256", "Element product order 5: 8 x 256 terms in {:.3f} ms"),
         ("element_json_round_trip_order5_256", "Element JSON round trip order 5: 256 terms in {:.3f} ms"),
+        ("render_tiling_depth6", f"render_tiling depth 6: 4096 tiles, plus/minus overlay of {render_word}, in {{:.3f}} ms"),
     ):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3

@@ -2,6 +2,7 @@
 reference."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ def test_pack_words_matches_pack_word_exhaustive():
         words = ["".join(rng.choice("1247") for _ in range(n)) for _ in range(20)]
         assert pack_words(words, n).tolist() == [pack_word(w) for w in words]
     assert pack_words([], 3).tolist() == []
+
+
+def test_pack_words_memory_is_bounded():
+    # 262,144 order-10 words, the size of an order-10 sigma_sums component;
+    # the joined text and its encoded copy (n bytes per word each) set the
+    # peak, about 2.5 times the 8-byte-per-word result; an (N, n) uint64
+    # lane table would take 10 times the result
+    words = unpack_words(np.arange(0, 4**10, 4, dtype=np.uint64), 10)
+    tracemalloc.start()
+    try:
+        packed = pack_words(words, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed.tolist() == list(range(0, 4**10, 4))
+    assert peak < 3 * packed.nbytes
 
 
 def test_pack_words_rejects_bad_words():

@@ -1,11 +1,25 @@
 """SVG output: counts, classes, determinism."""
 
 import math
+import random
 
 import pytest
 
+from floretion.centralizer import centralizer_tiles
 from floretion.render import RENDER_MAX_DEPTH, render_tiling
 from floretion.symmetry import axis_words
+from helpers import random_word, reference_render
+
+#: Option sets of the oracle comparison: default and odd radii, labels, letters.
+_OPTIONS = (
+    {},
+    {"labels": True},
+    {"labels": True, "letters": True},
+    {"r0": 0.7},
+    {"r0": 0.7, "labels": True, "letters": True},
+    {"r0": 3.3},
+    {"r0": 1e-3, "labels": True},
+)
 
 
 def test_polygon_counts():
@@ -62,3 +76,17 @@ def test_depth_validation():
     for r0 in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             render_tiling(2, r0=r0)
+
+
+@pytest.mark.parametrize("options", _OPTIONS, ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "plain")
+def test_render_matches_reference_oracle(options):
+    for n in range(1, 8):
+        assert render_tiling(n, **options) == reference_render(n, **options), n
+
+
+def test_overlay_render_matches_reference_oracle():
+    rng = random.Random(20261019)
+    for n in (3, 3, 6, 6):
+        t = centralizer_tiles(random_word(rng, n))
+        extra = dict.fromkeys(t.plus, "highlight-plus") | dict.fromkeys(t.minus, "highlight-minus")
+        assert render_tiling(n, extra_classes=extra) == reference_render(n, extra_classes=extra)

@@ -3,6 +3,7 @@ commutation, and cyclic orbits."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from floretion.symmetry import (
     parse_perm,
     twisted_commute_check,
 )
-from floretion.words import SignedWord, signed_word_inverse, word_mul
+from floretion.words import SignedWord, all_words, signed_word_inverse, word_mul
 from helpers import random_axis_symmetric, random_element
 
 
@@ -75,6 +76,23 @@ def test_apply_perm_word():
     assert apply_perm_word(ROTATE, "17") == "27"
     for pi in ALL_PERMS:
         assert apply_perm_word(pi, "777") == "777"
+
+
+def test_apply_perm_word_matches_digitwise_action():
+    for pi in ALL_PERMS:
+        assert apply_perm_word(pi, "") == ""
+        for n in range(1, 5):
+            for w in all_words(n):
+                assert apply_perm_word(pi, w) == "".join(pi(d) for d in w)
+
+
+@pytest.mark.parametrize("word", ["3", "12x4", "1 2", "ijk", "12\u00e9", "7\u0661"])
+def test_apply_perm_word_rejects_non_digits(word):
+    bad = next(d for d in word if d not in "1247")
+    for pi in ALL_PERMS:
+        with pytest.raises(ValueError, match=f"^not a digit: {re.escape(repr(bad))}$"):
+            apply_perm_word(pi, word)
+
 
 
 def test_apply_perm_element_is_linear():
