@@ -76,10 +76,6 @@ from .words import (
 #: numpy and `floretion.packed`, bound by `_load` on the first product.
 np = packed = None
 
-#: Term pairs per `packed_mul_many` call in a product, which bounds the
-#: memory a product holds besides its result.
-_BLOCK_PAIRS = 1 << 14
-
 #: Integer sums stay in int64 while no partial sum can reach this.
 _INT64_LIMIT = 1 << 62
 
@@ -254,8 +250,8 @@ class Element:
         values, so below 2**53 float64 holds each exactly.
 
         *Packed path.*  Every other product: term pairs go through
-        `packed_mul_many` in blocks of at most `_BLOCK_PAIRS`; they add
-        into one slot per word while 4**n <= `_BLOCK_PAIRS`, else block
+        `packed_mul_many` in blocks of at most `packed._BLOCK_PAIRS`; they
+        add into one slot per word while 4**n <= that, else block
         sums fold into one sorted (word, sum) pair of arrays.  Memory never
         follows the pair count.  Sums are int64 when X * Y * min(|x|, |y|)
         < 2**62, else Python ints.
@@ -359,8 +355,8 @@ def _numerators(x: Element) -> tuple[np.ndarray, list[int], int]:
 
 def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     """Coefficients of the canonical `word` in x**1 .. x**count, or None when
-    the span of supp(x) times |x| exceeds `_BLOCK_PAIRS` (the caller then
-    multiplies Elements, where dense operands take the matrix path).
+    the span of supp(x) times |x| exceeds `packed._BLOCK_PAIRS` (the caller
+    then multiplies Elements, where dense operands take the matrix path).
 
     Right multiplication by a word maps each word to +- one word, so the
     powers of x stay in the words that supp(x) generates.  With keys
@@ -394,7 +390,7 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
             r = min(r, r ^ b)  # clears b's leading bit
         if r:
             basis = sorted(basis + [r], reverse=True)
-            if len(xs) << len(basis) > _BLOCK_PAIRS:
+            if len(xs) << len(basis) > packed._BLOCK_PAIRS:
                 return None
     # number a span word by its coordinates: bit i set when its sum takes basis[i]
     span = np.zeros(1, dtype=np.uint64)
@@ -438,13 +434,15 @@ def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.n
     dtype = np.int64 if top * min(len(xs), len(ys)) < _INT64_LIMIT else object
     xnum = np.array(xnum, dtype=dtype)
     ynum = np.array(ynum, dtype=dtype)
-    cols = min(len(ys), _BLOCK_PAIRS)
-    rows = _BLOCK_PAIRS // cols
+    # one kernel block per call, which bounds the memory a product holds
+    # besides its result
+    cols = min(len(ys), packed._BLOCK_PAIRS)
+    rows = packed._BLOCK_PAIRS // cols
     # Up to order 7 blocks add into one slot per word, unsorted.  Above,
     # blocks[0] holds the running sums and the rest are pending sorted
     # block sums, folded in once they outgrow it, so both stay within a
     # small multiple of the result's size.
-    dense = 4**n <= _BLOCK_PAIRS
+    dense = 4**n <= packed._BLOCK_PAIRS
     blocks = [(np.arange(4**n, dtype=np.uint64), np.zeros(4**n, dtype=dtype))] if dense else []
     for r in range(0, len(xs), rows):
         for c in range(0, len(ys), cols):

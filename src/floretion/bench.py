@@ -1,7 +1,8 @@
-"""`floretion bench`: time the product kernels, dense `Element` squares, a
-sparse `Element` product, the JSON round trip, the vanishing check, two
-coefficient streams, an overlay render, a centralizer listing and three
-README commands end to end as fresh `python -m floretion` processes."""
+"""`floretion bench`: time the product kernels, word parse and pack, dense
+`Element` squares, a sparse `Element` product, the JSON round trip, the
+vanishing check, two coefficient streams, an overlay render, a centralizer
+listing and three README commands end to end as fresh `python -m floretion`
+processes."""
 
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ import numpy as np
 
 from .algebra import Element, element_from_json, element_to_json
 from .centralizer import centralizer_tiles, check_vanishing
-from .packed import lane_masks, packed_mul_many, unpack_words
+from .packed import lane_masks, pack_words, packed_mul_many, unpack_words
 from .render import render_tiling
 from .sequences import coeff_stream, find_recurrence, padovan_elements
-from .words import all_words, unpack_word, word_mul
+from .words import all_words, parse_word, unpack_word, word_mul
 
 #: Seed of the random word pairs and dense elements, so every run times the same inputs.
 SEED = 20260808
@@ -135,6 +136,12 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     ]
     if agree != iters:
         raise ValueError("kernel cross-check failed")
+
+    # the algebra-dense workload's operands: parse letter words, then pack them in one call
+    rng = random.Random(SEED)
+    letters = ["".join(rng.choice("ijke") for _ in range(5)) for _ in range(256)]
+    t_words, _ = timed("word_parse_pack_order5_256", 3, lambda: pack_words([parse_word(w, 5) for w in letters], 5))
+    lines.append(f"parse_word + pack_words order 5: 256 letter words in {t_words * 1e3:.3f} ms")
 
     for k in (4, 5, 6):
         rng = random.Random(SEED)  # a dense element: all 4**k words

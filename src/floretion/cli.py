@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
@@ -72,10 +73,13 @@ def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
 #: Fibonacci stream (seed 3/2,-2/3,1/3) takes about 1.5 s and prints 15 MB,
 #: and the Padovan stream 0.35 s.  Powers of small order-3 elements outgrow
 #: the interpreter's integer-to-text digit limit first, which is refused in
-#: one line (a 31-term order-3 stream after 3.5 s, at term 1549).
+#: one line as soon as the stream reaches it: a 31-term order-3 stream at
+#: term 1663, after 0.44 s, where computing all 4096 terms took 2.5 s.
 MAX_POWER = 4096
 
-#: Largest `bench --iterations`: 1M pairs take 3 s and 415 MB on a 2-vCPU x86-64 host.
+#: Largest `bench --iterations`: at 1M pairs a whole `bench` call takes about
+#: 8 s and 420 MB of peak RSS on a 2-vCPU x86-64 host, nearly all of it in
+#: the `word_mul` reference and its Python lists; the packed batch is 15 ms.
 MAX_ITERATIONS = 1_000_000
 
 
@@ -84,19 +88,29 @@ def _check_cap(value: int, option: str, cap: int = MAX_POWER) -> None:
         raise ValueError(f"{option} must be at most {cap}, got {value}")
 
 
-def _check_printable(values: list[Fraction], option: str, label) -> None:
-    """Refuse a value whose numerator or denominator has more decimal
-    digits than the interpreter converts to text, naming `label(i)` for the
-    first such values[i] and the option to lower.  Judged by bit length, so
-    no integer is converted; only at the boundary bit length is one
-    compared with 10**limit."""
+@cache
+def _power_of_ten(digits: int) -> int:
+    return 10**digits
+
+
+def _unprintable(q: Fraction) -> bool:
+    """Whether q's numerator or denominator has more decimal digits than
+    the interpreter converts to text.  Judged by bit length, so no integer
+    is converted; only at the boundary bit length is one compared with
+    10**limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
-        return
-    top = 10**limit
-    bits = top.bit_length()
+        return False
+    top = _power_of_ten(limit)
+    return any(v.bit_length() >= top.bit_length() and abs(v) >= top for v in (q.numerator, q.denominator))
+
+
+def _check_printable(values: list[Fraction], option: str, label) -> None:
+    """Refuse an `_unprintable` value, naming `label(i)` for the first such
+    values[i] and the option to lower."""
     for i, q in enumerate(values):
-        if any(v.bit_length() >= bits and abs(v) >= top for v in (q.numerator, q.denominator)):
+        if _unprintable(q):
+            limit = sys.get_int_max_str_digits()
             raise ValueError(f"{label(i)} has more than {limit} digits, the most Python prints; lower {option}")
 
 
@@ -256,9 +270,11 @@ def _cmd_seq(args) -> int:
             _, _, x = padovan_elements()
     else:
         x = _load_element(args.element)
-    stream = coeff_stream(x, args.word, args.mmax)
+    printed = not args.float or args.bfile is not None or args.bfile_parts is not None
+    # a stream that grows past the digit limit stops at the first term past it
+    stream = coeff_stream(x, args.word, args.mmax, (lambda q: _unprintable(args.scale * q)) if printed else None)
     scaled = [args.scale * q for q in stream]
-    if not args.float or args.bfile is not None or args.bfile_parts is not None:
+    if printed:
         _check_printable(scaled, "--mmax", lambda i: f"term {i + 1} of the stream")
     # beyond 2D + 2 terms (D = 2**n) the stream follows its head's minimal rule
     rec = find_recurrence(stream[: 2 * max(2**x.order, args.max_order) + 2], args.max_order) if args.recurrence else None

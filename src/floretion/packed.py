@@ -17,15 +17,25 @@ them preserves the parity of the full sum, since popcounts add mod 2 under
 XOR).  The kernel is locked against the digitwise reference by an exhaustive
 oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
 
-`packed_mul_many` holds the one copy of that formula and runs it on numpy
-arrays, a whole batch of word pairs per call, with numpy-scalar masks (with
-Python-int masks the formula takes about 30% longer); every `Element`
-product on the packed path goes through it.  `pack_words` and
-`unpack_words` encode and decode a batch of words in one pass each; the
-one-word `pack_word` and `unpack_word` are pure Python, live in
-`floretion.words` and are re-exported here.  Negative or oversized words
+`_lanes` holds the one copy of that formula, on numpy arrays with
+numpy-scalar masks (with Python-int masks it takes about 30% longer).
+`packed_mul_many` runs it on a whole batch of word pairs per call; every
+`Element` product on the packed path goes through it.  The formula makes
+about fifteen passes over arrays of the batch's size, so a large batch is
+bound by memory traffic.  A call of more than `_BLOCK_PAIRS` (16,384)
+pairs therefore allocates its two outputs once and runs the formula on one
+block of rows at a time along their leading axis, broadcast inputs sliced,
+never expanded.  A block's temporaries stay in L2 cache: on a 2-vCPU Xeon
+a 2,000,000-pair order-12 batch takes 20-33 ms this way against 54-66 ms
+in one pass, and a call peaks at its outputs (9 bytes per pair) plus one
+block's temporaries, about 1.1 times the outputs.
+
+`pack_words` and `unpack_words` encode and decode a batch of words in one
+pass each; the one-word `pack_word` and `unpack_word` are pure Python, live
+in `floretion.words` and are re-exported here.  Negative or oversized words
 and floats, in arrays or not, raise ValueError instead of wrapping or
-truncating.
+truncating; the stray-bit check is one OR reduction per input, so it holds
+no array of the batch's size.
 
 This is the one module besides `floretion.bench` that imports numpy at
 its top.  `floretion.algebra` imports it on the first `Element` product
@@ -35,7 +45,9 @@ or `packed_identity`, so importing `floretion` loads no numpy.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+import math
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +59,11 @@ _CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
 #: `bytes.translate` table to each ASCII digit's lane code; 255 marks a
 #: byte that is not a digit.
 _BYTE_CODES = bytes(DIGIT_CODE.get(chr(b), 255) for b in range(256))
+
+#: Pairs per block of a large `packed_mul_many` call, and per call of the
+#: packed `Element` product: a block's uint64 temporaries are 128 KB each,
+#: so the lane formula's passes over them stay in a core's L2 cache.
+_BLOCK_PAIRS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -100,18 +117,45 @@ def packed_identity(n: int) -> int:
 
 def packed_mul_many(xs, ys, n: int):
     """Lane-parallel products of packed order-n words, pairwise over numpy
-    arrays (broadcasting allowed; plain ints give 0-d arrays).
+    arrays (broadcasting allowed; plain ints give numpy scalars).
 
     Returns (signs, products) with signs int8 in {+1, -1} and products
     uint64.  Raises ValueError when an input is not a nonnegative integer
-    or has bits above lane 2n.
+    or has bits above lane 2n, before anything is computed.
+
+    A call of more than `_BLOCK_PAIRS` pairs allocates its two outputs once
+    and writes them a block of pairs at a time along their leading axis,
+    slicing broadcast inputs without expanding them, so its peak memory is
+    the outputs plus one block's temporaries (unless one row along that
+    axis holds more than a block).  A call of at most one block computes
+    its outputs in one pass.
     """
     full, lo = map(np.uint64, lane_masks(n))
     xs, ys = _packed_words(n, xs, ys)
+    # sizes first, so that a call of at most one block adds no numpy call;
+    # nonempty inputs broadcast to the larger extent on each axis
+    if xs.size * ys.size <= _BLOCK_PAIRS or (
+        math.prod(map(max, zip_longest(xs.shape[::-1], ys.shape[::-1], fillvalue=1))) <= _BLOCK_PAIRS
+    ):
+        return _lanes(xs, ys, n, full, lo)
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    signs, prods = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.uint64)
+    # blocks of whole rows along the leading axis, the inputs given its ndim
+    xs, ys = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (xs, ys))
+    step = max(1, _BLOCK_PAIRS * shape[0] // signs.size)
+    for r in range(0, shape[0], step):
+        block = slice(r, r + step)
+        x, y = (a[block] if len(a) > 1 else a for a in (xs, ys))
+        signs[block], prods[block] = _lanes(x, y, n, full, lo)
+    return signs, prods
+
+
+def _lanes(xs, ys, n: int, full, lo):
+    """(signs, products) of the lane formula on uint64 words xs, ys."""
     # t1 ^ t2 ^ t3 of the module docstring at the low bit of each lane
     ax, bx, ay, by = (xs >> 1) & lo, xs & lo, (ys >> 1) & lo, ys & lo
     odd = (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)
-    del ax, bx, ay, by  # a batch's peak memory stays that of the lane formula
+    del ax, bx, ay, by  # a block's peak memory stays that of the lane formula
     # bitwise_count yields uint8; n <= 32 keeps the sum well below overflow
     parity = (np.bitwise_count(odd) + np.uint8(n)) & np.uint8(1)
     signs = np.int8(1) - np.int8(2) * parity.astype(np.int8)
@@ -123,8 +167,9 @@ def _packed_words(n: int, *arrays) -> list[np.ndarray]:
     unless all are packed order-n words.  Numpy input needs an integer dtype
     and no negative entry; other input, a scalar or (nested) list, needs
     nonnegative ints in every entry (bool counts, float does not) and
-    converts exactly or overflows.  Stray bits are checked over all inputs
-    at once, before any kernel allocates."""
+    converts exactly or overflows.  Stray bits are checked by one OR
+    reduction per input, before any kernel allocates, so the check holds no
+    array of the inputs' (broadcast) size."""
     words = []
     for a in arrays:
         if hasattr(a, "dtype"):
@@ -137,7 +182,7 @@ def _packed_words(n: int, *arrays) -> list[np.ndarray]:
             words.append(np.asarray(a, dtype=np.uint64))
         except OverflowError:
             raise ValueError(_NOT_WORDS) from None
-    if (reduce(np.bitwise_or, words) & ~np.uint64(lane_masks(n)[0])).any():
+    if max(int(np.bitwise_or.reduce(w, axis=None)) for w in words) > lane_masks(n)[0]:
         raise ValueError(f"stray bits above lane {2 * n}")
     return words
 

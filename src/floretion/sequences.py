@@ -19,8 +19,8 @@ Those head powers need no `Element` product while x is sparse: right
 multiplication by x maps each basis word to +- one word of the span that
 supp(x) generates, so `algebra._power_coeffs` steps one integer vector
 over that span per power, with one `packed_mul_many` call for the whole
-head.  It runs while |span| * |x| <= `_BLOCK_PAIRS`; a denser x takes
-Element products, where dense operands run on the matrix path.
+head.  It runs while |span| * |x| <= `packed._BLOCK_PAIRS`; a denser x
+takes Element products, where dense operands run on the matrix path.
 
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
@@ -34,20 +34,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .algebra import Element, _power_coeffs
 from .words import parse_word
 
 
-def coeff_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
+def coeff_stream(
+    x: Element, word: str, m_max: int, until: Callable[[Fraction], bool] | None = None
+) -> list[Fraction]:
     """Coefficients of `word` in x**1 .. x**m_max, exactly.
 
     The first min(m_max, 2D + 2) terms come from powers, D = 2**x.order:
-    from `_power_coeffs` while |span of supp(x)| * |x| <= `_BLOCK_PAIRS`,
-    else from Element products.  Later terms follow the recurrence
-    `find_recurrence` finds in them, which is proved for every m because
-    D bounds the stream's order.
+    from `_power_coeffs` while |span of supp(x)| * |x| is at most
+    `packed._BLOCK_PAIRS`, else from Element products.  Later terms follow
+    the recurrence `find_recurrence` finds in them, which is proved for
+    every m because D bounds the stream's order.
+
+    With `until`, the stream ends at its first term t with until(t) true,
+    t included, so a caller that refuses such a term computes none after
+    it (the CLI refuses a term too long to print).
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -60,12 +66,15 @@ def coeff_stream(x: Element, word: str, m_max: int) -> list[Fraction]:
         for _ in range(1, count):
             acc = acc * x
             head.append(acc.terms.get(w, Fraction(0)))
+    stop = next((i for i, t in enumerate(head) if until(t)), None) if until else None
+    if stop is not None:
+        return head[: stop + 1]
     if m_max == len(head):
         return head
     rec = find_recurrence(head, degree)
     if rec is None:
         raise ArithmeticError(f"stream exceeds the degree bound {degree} of order {x.order}")
-    return head + rec.extend(head, m_max - len(head))
+    return head + rec.extend(head, m_max - len(head), until)
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,11 @@ class Recurrence:
         k = self.order
         return len(seq) <= k or list(seq[k:]) == self.extend(seq[:k], len(seq) - k)
 
-    def extend(self, seed: Sequence[Fraction], count: int) -> list[Fraction]:
-        """Continue a sequence by `count` further terms from its tail.
+    def extend(
+        self, seed: Sequence[Fraction], count: int, until: Callable[[Fraction], bool] | None = None
+    ) -> list[Fraction]:
+        """Continue a sequence by `count` further terms from its tail, or up
+        to and including the first new term t with until(t) true.
 
         Exact, in integers: the coefficients are p_i / Q over their lcm Q and
         the terms are reduced numerator/denominator pairs, so a new term is
@@ -109,6 +121,8 @@ class Recurrence:
             lcd = math.lcm(*(dens[-i] for i, _ in rule))
             v = Fraction(sum(p * nums[-i] * (lcd // dens[-i]) for i, p in rule), lcd * q)
             out.append(v)
+            if until and until(v):
+                break
             nums.append(v.numerator)
             dens.append(v.denominator)
         return out

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -384,6 +385,27 @@ def test_seq_refuses_past_the_digit_limit(tmp_path):
     assert r.returncode == 2 and f"term {first} of the stream" in r.stderr
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")
+def test_seq_refuses_at_the_first_term_past_the_digit_limit(tmp_path):
+    # a 31-term order-3 stream passes the limit near term 1660 of 4096; the
+    # refusal comes when the continuation reaches that term, not after the
+    # whole stream (about 2.5 s)
+    rng = random.Random(2)
+    words = sorted(floretion.all_words(3))
+    x = Element(3, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 6)) for w in rng.sample(words, 31)})
+    path = tmp_path / "x.json"
+    path.write_text(element_to_json(x))
+    t0 = time.perf_counter()
+    r = run_cli("seq", "--element", str(path), "--word", "211", "--mmax", "4096", env=_DIGITS)
+    elapsed = time.perf_counter() - t0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: term 1663 of the stream has more than 4300 digits, the most Python prints; lower --mmax\n"
+    assert elapsed < 1.0
+    stream = coeff_stream(x, "211", 1663)
+    assert max(abs(stream[-1].numerator), stream[-1].denominator) >= 10**4300
+    assert all(max(abs(q.numerator), q.denominator) < 10**4300 for q in stream[:-1])
+
+
 def test_deterministic_outputs():
     a = run_cli("render", "3", "--labels")
     b = run_cli("render", "3", "--labels")
@@ -398,6 +420,7 @@ def test_bench_smoke():
     assert r.returncode == 0
     assert "word_mul" in r.stdout and "packed batch" in r.stdout
     assert "cross-check   2000/2000 agree" in r.stdout
+    assert "parse_word + pack_words order 5: 256 letter words in " in r.stdout
     assert "Element square order 4: 256 terms -> 256 terms in " in r.stdout
     assert "Element square order 5: 1024 terms -> 1024 terms in " in r.stdout
     assert "Element square order 6: 4096 terms -> 4096 terms in " in r.stdout
@@ -549,6 +572,7 @@ def test_bench_json_record(tmp_path):
         ("element_product_order5_8x256", "Element product order 5: 8 x 256 terms in {:.3f} ms"),
         ("element_json_round_trip_order5_256", "Element JSON round trip order 5: 256 terms in {:.3f} ms"),
         ("render_tiling_depth6", f"render_tiling depth 6: 4096 tiles, plus/minus overlay of {render_word}, in {{:.3f}} ms"),
+        ("word_parse_pack_order5_256", "parse_word + pack_words order 5: 256 letter words in {:.3f} ms"),
     ):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import floretion
+from floretion import packed as packed_module
 from floretion.packed import (
+    _BLOCK_PAIRS,
     lane_masks,
     pack_word,
     pack_words,
@@ -219,6 +221,114 @@ def test_batch_kernel_broadcasts():
     signs, prods = packed_mul_many(xs, np.uint64(packed_identity(n)), n)
     assert (signs == 1).all()
     assert (prods == xs).all()
+
+
+def _word_mul_table(n):
+    """(signs, products) of word_mul over all order-n word pairs, indexed by packed words."""
+    words = list(all_words(n))
+    refs = [word_mul(a, b) for a in words for b in words]
+    signs = np.array([r.sign for r in refs], dtype=np.int8).reshape(len(words), -1)
+    prods = np.array([pack_word(r.word) for r in refs], dtype=np.uint64).reshape(len(words), -1)
+    return signs, prods
+
+
+def _check_against_table(xs, ys, n, table):
+    signs, prods = packed_mul_many(xs, ys, n)
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    assert signs.dtype == np.int8 and prods.dtype == np.uint64
+    assert signs.shape == prods.shape == shape
+    bx, by = np.broadcast_arrays(np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp))
+    assert (signs == table[0][bx, by]).all() and (prods == table[1][bx, by]).all()
+
+
+@pytest.mark.parametrize("pairs", [_BLOCK_PAIRS - 1, _BLOCK_PAIRS, _BLOCK_PAIRS + 1, 3 * _BLOCK_PAIRS + 5])
+def test_blocked_kernel_matches_word_mul_at_block_boundaries(pairs):
+    n = 3
+    table = _word_mul_table(n)
+    rng = np.random.default_rng(pairs)
+    xs, ys = rng.integers(0, 4**n, pairs, dtype=np.uint64), rng.integers(0, 4**n, pairs, dtype=np.uint64)
+    _check_against_table(xs, ys, n, table)  # 1-D
+    _check_against_table(xs, np.uint64(37), n, table)  # (k,) x 0-d
+    _check_against_table(37, ys, n, table)  # 0-d x (k,)
+    _check_against_table(xs[None, :], ys, n, table)  # (1, k) x (k,): one row, one block
+    # (k, 1) x (1, k'), (k, 1) x (k',) and (2, k, 1) x (1, k'), with k * k' near the pair count
+    k = int(pairs**0.5)
+    cols = pairs // k
+    _check_against_table(xs[:k, None], ys[None, :cols], n, table)
+    _check_against_table(xs[:k, None], ys[:cols], n, table)
+    _check_against_table(xs[: 2 * k].reshape(2, k, 1), ys[None, :cols], n, table)
+
+
+def test_blocked_kernel_matches_word_mul_at_order_12():
+    n = 12
+    rng = np.random.default_rng(12)
+    pairs = 3 * _BLOCK_PAIRS + 5
+    xs, ys = rng.integers(0, 4**n, pairs, dtype=np.uint64), rng.integers(0, 4**n, pairs, dtype=np.uint64)
+    for x, y in ((xs, ys), (xs[:200, None], ys[None, :200]), (xs, np.uint64(4**n - 1))):
+        signs, prods = packed_mul_many(x, y, n)
+        bx, by = np.broadcast_arrays(x, y)
+        # every pair of the last block and a sample of the others
+        picks = list(range(signs.size - 300, signs.size)) + rng.integers(0, signs.size, 300).tolist()
+        for i in picks:
+            a, b = int(bx.flat[i]), int(by.flat[i])
+            ref = word_mul(unpack_word(a, n), unpack_word(b, n))
+            assert (int(signs.flat[i]), int(prods.flat[i])) == (ref.sign, pack_word(ref.word))
+
+
+def test_blocked_kernel_small_and_empty_shapes():
+    # plain ints give numpy scalars, empty input empty arrays of the broadcast shape
+    signs, prods = packed_mul_many(pack_word("124"), pack_word("712"), 3)
+    assert type(signs) is np.int8 and type(prods) is np.uint64
+    empty = np.array([], dtype=np.uint64)
+    for x, y, shape in (
+        (empty, empty, (0,)),
+        (empty, 5, (0,)),
+        (np.zeros((0, 5), dtype=np.uint64), np.zeros((3 * _BLOCK_PAIRS, 1, 1), dtype=np.uint64), (3 * _BLOCK_PAIRS, 0, 5)),
+    ):
+        signs, prods = packed_mul_many(x, y, 3)
+        assert signs.shape == prods.shape == shape
+        assert signs.dtype == np.int8 and prods.dtype == np.uint64
+    with pytest.raises(ValueError):  # shapes that do not broadcast, above one block
+        packed_mul_many(np.zeros(2 * _BLOCK_PAIRS, dtype=np.uint64), np.zeros(3 * _BLOCK_PAIRS, dtype=np.uint64), 3)
+
+
+def test_blocked_kernel_rejects_a_stray_bit_in_the_last_block(monkeypatch):
+    # a stray bit in the last block only rejects the whole call before any block runs
+    n = 5
+    xs = np.zeros(3 * _BLOCK_PAIRS + 5, dtype=np.uint64)
+    xs[-1] = 1 << (2 * n)
+    calls = []
+    lanes = packed_module._lanes
+    monkeypatch.setattr(packed_module, "_lanes", lambda *a: calls.append(1) or lanes(*a))
+    with pytest.raises(ValueError, match=f"stray bits above lane {2 * n}"):
+        packed_mul_many(xs, np.uint64(3), n)
+    with pytest.raises(ValueError, match=f"stray bits above lane {2 * n}"):
+        packed_mul_many(np.zeros((4, 1), dtype=np.uint64), xs, n)
+    assert not calls
+    packed_mul_many(xs[:-1], np.uint64(3), n)
+    assert len(calls) == 4
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_kernel_memory_is_bounded():
+    # a one-pass call peaked at about 5 times its outputs (2**20 pairs) and
+    # at about 2 times (1024 x 1024 broadcast, 19 MB); blocked, a call holds
+    # its outputs and one block's temporaries
+    n = 12
+    rng = np.random.default_rng(20)
+    xs, ys = rng.integers(0, 4**n, 1 << 20, dtype=np.uint64), rng.integers(0, 4**n, 1 << 20, dtype=np.uint64)
+    for x, y in ((xs, ys), (xs[:1024, None], ys[None, :1024])):
+        (signs, prods), peak = _traced_peak(lambda: packed_mul_many(x, y, n))
+        assert signs.size == 1 << 20
+        assert peak <= 1.25 * (signs.nbytes + prods.nbytes)
 
 
 #: `dir(floretion)` when the package imported `floretion.packed` eagerly.

@@ -241,6 +241,19 @@ def test_recurrence_extend_and_holds_on():
     assert not fib.holds_on([F(1), F(1), F(2), F(4)])
     with pytest.raises(ValueError):
         fib.extend([F(1)], 3)
+    # `until` ends the continuation at its first match, the match included
+    assert fib.extend([F(1), F(1)], 5, until=lambda t: t > 2) == [2, 3]
+    assert fib.extend([F(1), F(1)], 5, until=lambda t: t > 100) == [2, 3, 5, 8, 13]
+
+
+def test_coeff_stream_until_stops_at_the_first_match():
+    # Padovan at order 2 has a 10-term head (2D + 2), then its continuation
+    _, _, y = padovan_elements()
+    full = coeff_stream(y, "ik", 60)
+    for bound in (F(0), F(1, 4), F(1), F(100), F(10**6)):
+        stop = next((i for i, t in enumerate(full) if t > bound), len(full) - 1)
+        assert coeff_stream(y, "ik", 60, until=lambda t: t > bound) == full[: stop + 1]
+    assert coeff_stream(y, "ik", 3, until=lambda t: False) == full[:3]
 
 
 def test_order_two_streams_admit_order_four_recurrences():
@@ -350,7 +363,7 @@ def _span(x) -> set[str]:
 
 
 def test_kernel_head_route(monkeypatch):
-    # the kernel runs while |span| * |x| <= _BLOCK_PAIRS, else Element products
+    # the kernel runs while |span| * |x| <= packed._BLOCK_PAIRS, else Element products
     rng = random.Random(20261021)
     products = _calls(monkeypatch, Element, "__mul__")
     for n, terms, kernel in ((3, 64, True), (4, 64, True), (4, 65, False), (4, 256, False)):
