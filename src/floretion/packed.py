@@ -7,28 +7,20 @@ significant lane.  Each lane holds the digit's 2-bit code (digit >> 1),
 which makes every integer in [0, 4**n) a valid packed word and makes
 enumeration of all words a plain integer range.
 
-The kernel applies the local XNOR/AND rule to all lanes at once:
+The kernel applies the local rule, reduced mod 2 in `floretion.words`, to
+all lanes at once with bitwise operators, which act lane by lane:
 
-    product lanes = XNOR(x, y)  masked to 2n bits,
-    sign          = (-1) ** (n + popcount(t1 ^ t2 ^ t3))
+    products = ~(x ^ y) & full,
+    minus    = ~((x >> 1) ^ y ^ ((y >> 1) & (x ^ (x >> 1))) ^ (x & y)) & lo,
+    signs    = (-1) ** popcount(minus),
 
-where t1, t2, t3 collect the rule's three AND terms per lane (XOR-collapsing
-them preserves the parity of the full sum, since popcounts add mod 2 under
-XOR).  The kernel is locked against the digitwise reference by an exhaustive
-oracle over all pairs up to n = 4 in the tests, not trusted from derivation.
-
-`_lanes` holds the one copy of that formula, on numpy arrays with
-numpy-scalar masks (with Python-int masks it takes about 30% longer).
-`packed_mul_many` runs it on a whole batch of word pairs per call; every
-`Element` product on the packed path goes through it.  The formula makes
-about fifteen passes over arrays of the batch's size, so a large batch is
-bound by memory traffic.  A call of more than `_BLOCK_PAIRS` (16,384)
-pairs therefore allocates its two outputs once and runs the formula on one
-block of rows at a time along their leading axis, broadcast inputs sliced,
-never expanded.  A block's temporaries stay in L2 cache: on a 2-vCPU Xeon
-a 2,000,000-pair order-12 batch takes 20-33 ms this way against 54-66 ms
-in one pass, and a call peaks at its outputs (9 bytes per pair) plus one
-block's temporaries, about 1.1 times the outputs.
+full and lo masking the 2n lane bits and each lane's low bit.  `_lanes`
+runs `words._lane_rule`, the one copy of the rule, on numpy arrays with
+numpy-scalar masks and shift.  Tests lock the rule to the paper's unreduced
+form and the kernel to the digitwise reference over all pairs up to n = 4.
+`packed_mul_many` runs it on a whole batch of word pairs per call, in
+blocks that stay in L2 cache; every `Element` product on the packed path
+goes through it.
 
 `pack_words` and `unpack_words` encode and decode a batch of words in one
 pass each; the one-word `pack_word` and `unpack_word` are pure Python, live
@@ -52,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import _LANE_WIDTH, _NOT_WORDS, DIGIT_CODE, DIGITS, check_order, pack_word, unpack_word
+from .words import _LANE_WIDTH, _NOT_WORDS, DIGIT_CODE, DIGITS, _lane_rule, check_order, pack_word, unpack_word
 
 #: ASCII digit of each 2-bit lane code (DIGITS is in code order).
 _CODE_BYTES = np.frombuffer(DIGITS.encode("ascii"), dtype=np.uint8)
@@ -128,7 +120,9 @@ def packed_mul_many(xs, ys, n: int):
     slicing broadcast inputs without expanding them, so its peak memory is
     the outputs plus one block's temporaries (unless one row along that
     axis holds more than a block).  A call of at most one block computes
-    its outputs in one pass.
+    its outputs in one pass.  The rule makes about seventeen passes over
+    arrays of a block's size, so a block in L2 cache pays: on a 2-vCPU Xeon
+    2,000,000 order-12 pairs take 16-19 ms, against 36-42 ms in one pass.
     """
     full, lo = map(np.uint64, lane_masks(n))
     xs, ys = _packed_words(n, xs, ys)
@@ -137,7 +131,7 @@ def packed_mul_many(xs, ys, n: int):
     if xs.size * ys.size <= _BLOCK_PAIRS or (
         math.prod(map(max, zip_longest(xs.shape[::-1], ys.shape[::-1], fillvalue=1))) <= _BLOCK_PAIRS
     ):
-        return _lanes(xs, ys, n, full, lo)
+        return _lanes(xs, ys, full, lo)
     shape = np.broadcast_shapes(xs.shape, ys.shape)
     signs, prods = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.uint64)
     # blocks of whole rows along the leading axis, the inputs given its ndim
@@ -146,20 +140,16 @@ def packed_mul_many(xs, ys, n: int):
     for r in range(0, shape[0], step):
         block = slice(r, r + step)
         x, y = (a[block] if len(a) > 1 else a for a in (xs, ys))
-        signs[block], prods[block] = _lanes(x, y, n, full, lo)
+        signs[block], prods[block] = _lanes(x, y, full, lo)
     return signs, prods
 
 
-def _lanes(xs, ys, n: int, full, lo):
-    """(signs, products) of the lane formula on uint64 words xs, ys."""
-    # t1 ^ t2 ^ t3 of the module docstring at the low bit of each lane
-    ax, bx, ay, by = (xs >> 1) & lo, xs & lo, (ys >> 1) & lo, ys & lo
-    odd = (bx & ay) ^ (~(ax ^ bx) & lo & by) ^ (ax & ~(ay ^ by) & lo)
-    del ax, bx, ay, by  # a block's peak memory stays that of the lane formula
-    # bitwise_count yields uint8; n <= 32 keeps the sum well below overflow
-    parity = (np.bitwise_count(odd) + np.uint8(n)) & np.uint8(1)
-    signs = np.int8(1) - np.int8(2) * parity.astype(np.int8)
-    return signs, ~(xs ^ ys) & full
+def _lanes(xs, ys, full, lo):
+    """(signs, products) of the lane rule on uint64 words xs, ys; a Python-int
+    shift would cost every call about 1 us."""
+    prods, minus = _lane_rule(xs, ys, full, lo, np.uint64(1))
+    signs = np.int8(1) - np.int8(2) * (np.bitwise_count(minus) & np.uint8(1)).astype(np.int8)
+    return signs, prods
 
 
 def _packed_words(n: int, *arrays) -> list[np.ndarray]:

@@ -18,6 +18,11 @@ bitwise XNOR (a XNOR c, b XNOR d), and its sign is (-1)**(m + 1) with
 
     m = (b AND c) + ((a XNOR b) AND d) + (a AND (c XNOR d)).
 
+Reduced mod 2 (each XNOR is 1 XOR ..., and the two (a AND d) terms cancel),
+m = a XOR d XOR (c AND (a XOR b)) XOR (b AND d).  `_lane_rule` evaluates it
+with bitwise operators, which act lane by lane: on a pair of codes to build
+`LOCAL_TABLE`, and on whole packed words in `floretion.packed`.
+
 The 16-entry table generated by this rule is exactly the quaternion table
 with the convention ij = k, jk = i, ki = j and i**2 = j**2 = k**2 = -e,
 e acting as identity; tests pin all 16 entries.
@@ -61,22 +66,22 @@ class SignedWord(NamedTuple):
     word: str
 
 
-def _local_rule(cx: int, cy: int) -> tuple[int, int]:
-    """XNOR/AND product of two 2-bit digit codes: (sign, result code)."""
-    a, b = cx >> 1, cx & 1
-    c, d = cy >> 1, cy & 1
-    unsigned = ((1 ^ a ^ c) << 1) | (1 ^ b ^ d)
-    m = (b & c) + ((1 ^ a ^ b) & d) + (a & (1 ^ c ^ d))
-    return (1 if m & 1 else -1), unsigned
+def _lane_rule(x, y, full, lo, one=1):
+    """(product lanes, minus lanes) of the rule on lane words x, y within
+    `full`: ints, or uint64 arrays with numpy-scalar masks and shift `one`.
+    At a lane's low bit x >> 1 holds a, x b, y >> 1 c and y d; minus is 1
+    where m is 0.  XOR with a mask complements y before it broadcasts."""
+    a = x >> one
+    return x ^ (y ^ full), (a ^ (y ^ lo) ^ ((y >> one) & (x ^ a)) ^ (x & y)) & lo
 
 
 #: (x, y) -> (sign, digit) for all 16 digit pairs, generated from the
 #: Boolean rule above.
 LOCAL_TABLE: dict[tuple[str, str], tuple[int, str]] = {
-    (CODE_DIGIT[cx], CODE_DIGIT[cy]): (s, CODE_DIGIT[cz])
+    (CODE_DIGIT[cx], CODE_DIGIT[cy]): (-1 if minus else 1, CODE_DIGIT[cz])
     for cx in range(4)
     for cy in range(4)
-    for s, cz in [_local_rule(cx, cy)]
+    for cz, minus in [_lane_rule(cx, cy, 3, 1)]
 }
 
 

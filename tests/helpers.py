@@ -11,6 +11,16 @@ from floretion.symmetry import apply_perm_element, axis_reflection
 from floretion.words import DIGITS, all_words, format_word, parse_word, word_mul
 
 
+def paper_rule(cx: int, cy: int) -> tuple[int, int]:
+    """The paper's XNOR/AND rule on two 2-bit digit codes, as stated, not
+    reduced: (sign, result code).  Oracle for `words._lane_rule`."""
+    a, b = cx >> 1, cx & 1
+    c, d = cy >> 1, cy & 1
+    unsigned = ((1 ^ a ^ c) << 1) | (1 ^ b ^ d)
+    m = (b & c) + ((1 ^ a ^ b) & d) + (a & (1 ^ c ^ d))
+    return (1 if m & 1 else -1), unsigned
+
+
 def random_fraction(rng, lo=-4, hi=4, denominators=(1, 2, 3, 4)) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice(denominators))
 

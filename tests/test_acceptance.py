@@ -80,8 +80,9 @@ def test_c02_worked_product(capsys):
 
 def table_products(xs: list[int], ys: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(signs, packed products) of the pairs, read lane by lane from
-    LOCAL_TABLE with a numpy gather: a reference independent of the lane
-    formula."""
+    LOCAL_TABLE with a numpy gather: a reference independent of the
+    word-wide kernel (the table shares its rule, and the quaternion table
+    in test_words pins it)."""
     sign_table = np.zeros((4, 4), dtype=np.int64)
     code_table = np.zeros((4, 4), dtype=np.uint64)
     for (a, b), (sign, d) in LOCAL_TABLE.items():

@@ -431,6 +431,25 @@ def test_bench_smoke():
     assert "centralizer scan order 5" in r.stdout
 
 
+@pytest.mark.parametrize("wrong", ["sign", "product"])
+def test_bench_cross_check_catches_one_wrong_pair(monkeypatch, wrong):
+    from floretion import bench
+
+    kernel = bench.packed_mul_many
+
+    def one_wrong(xs, ys, n):
+        signs, prods = (a.copy() for a in kernel(xs, ys, n))
+        if wrong == "sign":
+            signs[37] *= -1
+        else:
+            prods[37] ^= 1  # another digit in the first lane
+        return signs, prods
+
+    monkeypatch.setattr(bench, "packed_mul_many", one_wrong)
+    with pytest.raises(ValueError, match="kernel cross-check failed"):
+        bench.run(4, 500, 0)
+
+
 def test_bench_module_loads_only_for_a_checked_bench_call():
     code = (
         "import sys\n"

@@ -19,7 +19,8 @@ from floretion.packed import (
     unpack_word,
     unpack_words,
 )
-from floretion.words import all_words, parse_word, word_mul
+from floretion.words import _lane_rule, all_words, parse_word, word_mul
+from helpers import paper_rule
 
 
 def test_pack_unpack_roundtrip_exhaustive():
@@ -259,15 +260,45 @@ def test_blocked_kernel_matches_word_mul_at_block_boundaries(pairs):
     _check_against_table(xs[: 2 * k].reshape(2, k, 1), ys[None, :cols], n, table)
 
 
+@pytest.mark.parametrize("n", [1, 12, 32])
+def test_lane_rule_matches_paper_rule_lane_by_lane(n):
+    # at order 32, x >> 1 moves bit 63 into the top lane's low bit
+    full, lo = lane_masks(n)
+    rng = np.random.default_rng(n)
+    edges = np.array([[0, full, full, 0], [full, 0, full, 0]], dtype=np.uint64)
+    xs, ys = np.concatenate([rng.integers(0, 4**n, (2, 5000), dtype=np.uint64), edges], axis=1)
+    prods, minus = _lane_rule(xs, ys, np.uint64(full), np.uint64(lo), np.uint64(1))
+    codes = [paper_rule(cx, cy) for cx in range(4) for cy in range(4)]
+    sign_table = np.array([s for s, _ in codes]).reshape(4, 4)
+    code_table = np.array([c for _, c in codes], dtype=np.uint64).reshape(4, 4)
+    assert not (prods & ~np.uint64(full)).any() and not (minus & ~np.uint64(lo)).any()
+    for r in range(n):
+        shift = np.uint64(2 * r)
+        cx, cy = ((xs >> shift) & np.uint64(3)).astype(np.intp), ((ys >> shift) & np.uint64(3)).astype(np.intp)
+        assert ((prods >> shift) & np.uint64(3) == code_table[cx, cy]).all()
+        assert ((minus >> shift) & np.uint64(1) == (sign_table[cx, cy] < 0)).all()
+    # Python ints give the same lanes
+    for x, y, p, m in zip(xs[-20:].tolist(), ys[-20:].tolist(), prods[-20:].tolist(), minus[-20:].tolist()):
+        assert _lane_rule(x, y, full, lo) == (p, m)
+
+
 def test_blocked_kernel_matches_word_mul_at_order_12():
-    n = 12
-    rng = np.random.default_rng(12)
+    _check_blocked_against_word_mul(12)
+
+
+def test_blocked_kernel_matches_word_mul_at_order_32():
+    _check_blocked_against_word_mul(32)
+
+
+def _check_blocked_against_word_mul(n):
+    """1-D, (k, 1) x (1, k') and 1-D x 0-d calls of more than one block, against
+    `word_mul` on every pair of the last block and a sample of the others."""
+    rng = np.random.default_rng(n)
     pairs = 3 * _BLOCK_PAIRS + 5
     xs, ys = rng.integers(0, 4**n, pairs, dtype=np.uint64), rng.integers(0, 4**n, pairs, dtype=np.uint64)
     for x, y in ((xs, ys), (xs[:200, None], ys[None, :200]), (xs, np.uint64(4**n - 1))):
         signs, prods = packed_mul_many(x, y, n)
         bx, by = np.broadcast_arrays(x, y)
-        # every pair of the last block and a sample of the others
         picks = list(range(signs.size - 300, signs.size)) + rng.integers(0, signs.size, 300).tolist()
         for i in picks:
             a, b = int(bx.flat[i]), int(by.flat[i])

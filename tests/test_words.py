@@ -11,6 +11,7 @@ from floretion.words import (
     DIGITS,
     MAX_ORDER,
     SignedWord,
+    _lane_rule,
     all_words,
     format_signed_word,
     format_word,
@@ -23,6 +24,7 @@ from floretion.words import (
     signed_word_mul,
     word_mul,
 )
+from helpers import paper_rule
 
 # Hand-written quaternion table (rows = left factor), from the defining
 # relations ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -e, e the identity.
@@ -56,6 +58,13 @@ def test_letter_aliases():
 def test_local_mul_matches_quaternion_table():
     for (lx, ly), (sign, lz) in QUAT_TABLE.items():
         assert local_mul(DIGIT[lx], DIGIT[ly]) == (sign, DIGIT[lz])
+
+
+def test_lane_rule_matches_paper_rule_on_codes():
+    # the reduced rule on Python ints, against the rule as the paper states it
+    for cx, cy in product(range(4), repeat=2):
+        sign, code = paper_rule(cx, cy)
+        assert _lane_rule(cx, cy, 3, 1) == (code, int(sign < 0))
 
 
 def test_local_mul_spot_values():
