@@ -1,7 +1,7 @@
 """`floretion bench`: time the product kernels, word parse and pack, dense
 `Element` squares, a sparse `Element` product, the JSON round trip, the
 vanishing check, two coefficient streams, an overlay render, a centralizer
-listing and three README commands end to end as fresh `python -m floretion`
+listing and four README commands end to end as fresh `python -m floretion`
 processes."""
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from .words import all_words, parse_word, unpack_word, word_mul
 SEED = 20260808
 
 #: README commands timed as fresh processes: (record name, label, argv, stdin).
-#: `mul` and the count load no numpy; `pow` multiplies, so it does.
+#: `mul`, the count and the listing load no numpy; `pow` multiplies, so it
+#: does.  The listing prints 131,072 letter-spelled tiles of order 9.
 CLI_COMMANDS = (
     ("cli_mul_s", "mul iji jek", ["mul", "iji", "jek"], None),
     ("cli_centralizer_count_s", "centralizer 1711111 --count-only", ["centralizer", "1711111", "--count-only"], None),
     ("cli_pow_s", "pow - -m 3", ["pow", "-", "-m", "3"],
      '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}, {"word": "77", "coeff": "1"}]}'),
+    ("cli_centralizer_letters_s", "centralizer 124712471 --letters", ["centralizer", "124712471", "--letters"], None),
 )
 
 #: The directory holding this package, put first on the children's PYTHONPATH.

@@ -199,6 +199,7 @@ def _cmd_centroid(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_limits(args.depth, args.r0)  # before the axis words, 2**depth of them
     extra = None
     if args.highlight_axis is not None:
         extra = {w: "highlight" for w in axis_words(args.highlight_axis, args.depth)}

@@ -21,11 +21,9 @@ from typing import Iterable
 
 from .algebra import Element
 from .geometry import Vec2, centroid
-from .words import parse_word
+from .words import _DROP_DIGITS, check_order, parse_word
 
 _CORNER_DIGITS = "124"
-#: `str.translate` table deleting the four digits: only a non-digit survives it.
-_DROP_DIGITS = str.maketrans("", "", "1247")
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,8 @@ def parse_perm(text: str) -> Perm:
 def apply_perm_word(pi: Perm, word: str) -> str:
     """Apply a digit permutation at every position of a word."""
     out = word.translate(pi._table)
-    if out.translate(_DROP_DIGITS):  # not all digits: raise as `pi` does on the first bad one
-        return "".join(pi(d) for d in word)
+    if bad := out.translate(_DROP_DIGITS):
+        raise ValueError(f"not a digit: {bad[0]!r}")
     return out
 
 
@@ -208,6 +206,7 @@ def axis_words(axis: str, n: int) -> list[str]:
     """The 2**n words using only `axis` and 7: exactly the words fixed by
     the reflection about that axis, lying on it in the tiling."""
     axis_reflection(axis)  # validates the digit
+    check_order(n)
     out = [""]
     for _ in range(n):
         out = [w + d for w in out for d in (axis, "7")]

@@ -2,14 +2,13 @@
 
 A word of length n is a string of digits from {1, 2, 4, 7}, read left to
 right.  The digits carry quaternionic meaning through the letter aliases
-
-    1 <-> i,   2 <-> j,   4 <-> k,   7 <-> e,
-
-and two words of equal length multiply digit by digit: each position
-contributes a local quaternionic product (a sign and a result digit), the
-result digits form the product word and the local signs multiply into one
-global sign.  The local rule itself is Boolean.  Each digit d is encoded by
-the two-bit code d >> 1 (the top two bits of its octal value):
+1 <-> i, 2 <-> j, 4 <-> k, 7 <-> e, stated once as the `str.translate`
+tables `_TO_DIGITS` and `_TO_LETTERS`.  Two words of equal length multiply
+digit by digit: each position contributes a local quaternionic product (a
+sign and a result digit), the result digits form the product word and the
+local signs multiply into one global sign.  The local rule itself is
+Boolean.  Each digit d is encoded by the two-bit code d >> 1 (the top two
+bits of its octal value):
 
     1 -> 00,   2 -> 01,   4 -> 10,   7 -> 11.
 
@@ -47,8 +46,11 @@ DIGITS = "1247"
 #: stores one 2-bit lane per digit, so 32 digits fill a 64-bit lane field.
 MAX_ORDER = 32
 
-_LETTER_TO_DIGIT = {"i": "1", "j": "2", "k": "4", "e": "7"}
-_DIGIT_TO_LETTER = {d: c for c, d in _LETTER_TO_DIGIT.items()}
+#: `str.translate` tables: letters to digits, digits to letters, and one
+#: deleting the four digits, which only a non-digit survives.
+_TO_DIGITS = str.maketrans("ijke", DIGITS)
+_TO_LETTERS = str.maketrans(DIGITS, "ijke")
+_DROP_DIGITS = str.maketrans("", "", DIGITS)
 
 #: Two-bit code of each digit (the digit's octal value shifted right by one).
 DIGIT_CODE = {"1": 0, "2": 1, "4": 2, "7": 3}
@@ -103,19 +105,13 @@ def parse_word(text: str, order: int | None = None) -> str:
     # a digit word of an accepted length is already canonical
     if type(text) is str and text and not text.strip(DIGITS) and len(text) <= MAX_ORDER and order in (None, len(text)):
         return text
-    out = []
-    for ch in text:
-        if ch in DIGIT_CODE:
-            out.append(ch)
-        elif ch in _LETTER_TO_DIGIT:
-            out.append(_LETTER_TO_DIGIT[ch])
-        else:
-            raise ValueError(f"invalid word character {ch!r} in {text!r}")
-    if not out:
+    word = str.translate(text, _TO_DIGITS)
+    if bad := word.translate(_DROP_DIGITS):
+        raise ValueError(f"invalid word character {bad[0]!r} in {text!r}")
+    if not word:
         raise ValueError("empty word")
-    if len(out) > MAX_ORDER:
-        raise ValueError(f"word length {len(out)} exceeds maximum order {MAX_ORDER}")
-    word = "".join(out)
+    if len(word) > MAX_ORDER:
+        raise ValueError(f"word length {len(word)} exceeds maximum order {MAX_ORDER}")
     if order is not None and len(word) != order:
         raise ValueError(f"expected a word of length {order}, got {text!r}")
     return word
@@ -134,9 +130,7 @@ def parse_signed_word(text: str, order: int | None = None) -> SignedWord:
 
 def format_word(word: str, letters: bool = False) -> str:
     """Render a canonical word, in letters (ijke) on request."""
-    if letters:
-        return "".join(_DIGIT_TO_LETTER[d] for d in word)
-    return word
+    return word.translate(_TO_LETTERS) if letters else word
 
 
 def format_signed_word(sw: SignedWord, letters: bool = False) -> str:
@@ -145,8 +139,8 @@ def format_signed_word(sw: SignedWord, letters: bool = False) -> str:
 
 
 def check_order(n: int) -> None:
-    """Raise ValueError unless n is a word length in 1..MAX_ORDER."""
-    if not 1 <= n <= MAX_ORDER:
+    """Raise ValueError unless n is an integer (not a bool) in 1..MAX_ORDER."""
+    if type(n) is bool or not hasattr(n, "__index__") or not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
 
 

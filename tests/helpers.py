@@ -8,7 +8,10 @@ from floretion.geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
 from floretion.render import _STYLE, _check_limits, _fmt
 from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
-from floretion.words import DIGITS, all_words, format_word, parse_word, word_mul
+from floretion.words import DIGITS, MAX_ORDER, all_words, format_word, parse_word, word_mul
+
+_LETTER_TO_DIGIT = {"i": "1", "j": "2", "k": "4", "e": "7"}
+_DIGIT_TO_LETTER = {d: c for c, d in _LETTER_TO_DIGIT.items()}
 
 
 def paper_rule(cx: int, cy: int) -> tuple[int, int]:
@@ -19,6 +22,33 @@ def paper_rule(cx: int, cy: int) -> tuple[int, int]:
     unsigned = ((1 ^ a ^ c) << 1) | (1 ^ b ^ d)
     m = (b & c) + ((1 ^ a ^ b) & d) + (a & (1 ^ c ^ d))
     return (1 if m & 1 else -1), unsigned
+
+
+def reference_parse_word(text: str, order: int | None = None) -> str:
+    """Oracle for `parse_word`: one character at a time through two dicts."""
+    out = []
+    for ch in text:
+        if ch in DIGITS:
+            out.append(ch)
+        elif ch in _LETTER_TO_DIGIT:
+            out.append(_LETTER_TO_DIGIT[ch])
+        else:
+            raise ValueError(f"invalid word character {ch!r} in {text!r}")
+    if not out:
+        raise ValueError("empty word")
+    if len(out) > MAX_ORDER:
+        raise ValueError(f"word length {len(out)} exceeds maximum order {MAX_ORDER}")
+    word = "".join(out)
+    if order is not None and len(word) != order:
+        raise ValueError(f"expected a word of length {order}, got {text!r}")
+    return word
+
+
+def reference_format_word(word: str, letters: bool = False) -> str:
+    """Oracle for `format_word`: one dict lookup per digit."""
+    if letters:
+        return "".join(_DIGIT_TO_LETTER[d] for d in word)
+    return word
 
 
 def random_fraction(rng, lo=-4, hi=4, denominators=(1, 2, 3, 4)) -> Fraction:

@@ -47,6 +47,28 @@ def test_order_mismatch_rejected():
         Element(2, {"123": 1})
 
 
+@pytest.mark.parametrize("order", [2.0, True, False, "2", None, 1.5])
+def test_non_integer_orders_rejected(order):
+    from floretion.packed import pack_words
+
+    for build in (
+        lambda: Element(order, {"12": 1}),
+        lambda: pack_words(["12"], order),
+        lambda: list(all_words(order)),
+        lambda: sierpinski_support(order),
+    ):
+        with pytest.raises(ValueError, match=f"^order must be in 1..32, got {order}$"):
+            build()
+
+
+def test_numpy_integer_orders_accepted():
+    import numpy as np
+
+    x = Element(np.int64(2), {"12": 1})
+    assert x * x == Element(2, {"77": 1})
+    assert list(all_words(np.int64(1))) == ["1", "2", "4", "7"]
+
+
 def test_zero_coefficients_never_stored():
     x = Element(2, {"12": 0, "44": 1})
     assert "12" not in x.terms

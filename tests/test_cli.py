@@ -103,6 +103,8 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["symmetry", "orbit", "2222", "--d1", "1.79e308"], None),
         (["render", "2", "--r0", "1e308"], None),
         (["centralizer", "12", "--svg", "x.svg", "--r0", "1e308"], None),
+        # the depth is checked before the 2**40 axis words are built
+        (["render", "40", "--highlight-axis", "1"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
@@ -110,7 +112,7 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
         "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-11",
-        "d1-overflow", "orbit-d1-overflow", "r0-overflow", "svg-r0-overflow",
+        "d1-overflow", "orbit-d1-overflow", "r0-overflow", "svg-r0-overflow", "highlight-depth-40",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -119,6 +121,18 @@ def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+def test_render_depth_checked_before_axis_words(monkeypatch, capsys):
+    def words(axis, n):
+        raise AssertionError("axis words built before the render depth was checked")
+
+    monkeypatch.setattr(cli, "axis_words", words)
+    t0 = time.perf_counter()
+    assert cli.main(["render", "40", "--highlight-axis", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: render depth must be in 1..8, got 40\n"
 
 
 @pytest.mark.parametrize("argv", [["777777777", "--svg", "x.svg"], ["12", "--svg", "x.svg", "--r0", "nan"]])
@@ -603,10 +617,12 @@ def test_bench_json_record(tmp_path):
         line = f"Element square order {k}: {4**k} terms -> {metrics[f'element_square_order{k}_terms_out']['value']} terms in {row['value']:.4f} s"
         assert line in r.stdout.splitlines()
     # the CLI rows follow every other line
-    cli_lines = r.stdout.splitlines()[-3:]
+    cli_lines = r.stdout.splitlines()[-4:]
     for (name, label), line in zip(
-        (("cli_mul_s", "mul iji jek"), ("cli_centralizer_count_s", "centralizer 1711111 --count-only"), ("cli_pow_s", "pow - -m 3")),
+        (("cli_mul_s", "mul iji jek"), ("cli_centralizer_count_s", "centralizer 1711111 --count-only"), ("cli_pow_s", "pow - -m 3"),
+         ("cli_centralizer_letters_s", "centralizer 124712471 --letters")),
         cli_lines,
+        strict=True,
     ):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3

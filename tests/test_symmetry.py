@@ -86,13 +86,16 @@ def test_apply_perm_word_matches_digitwise_action():
                 assert apply_perm_word(pi, w) == "".join(pi(d) for d in w)
 
 
-@pytest.mark.parametrize("word", ["3", "12x4", "1 2", "ijk", "12\u00e9", "7\u0661"])
+@pytest.mark.parametrize("word", ["3", "12x4", "1 2", "ijk", "12\u00e9", "7\u0661", "x247", "1247x", "1x7\u00e9"])
 def test_apply_perm_word_rejects_non_digits(word):
+    # the first bad character, wherever it is, in the message `Perm.__call__` raises on it
     bad = next(d for d in word if d not in "1247")
     for pi in ALL_PERMS:
-        with pytest.raises(ValueError, match=f"^not a digit: {re.escape(repr(bad))}$"):
+        with pytest.raises(ValueError, match=f"^not a digit: {re.escape(repr(bad))}$") as got:
             apply_perm_word(pi, word)
-
+        with pytest.raises(ValueError) as want:
+            pi(bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_apply_perm_element_is_linear():
@@ -321,6 +324,9 @@ def test_axis_words():
     assert set(ws) == {a + b + c for a in "17" for b in "17" for c in "17"}
     with pytest.raises(ValueError):
         axis_words("7", 2)
+    for n in (0, -2, 33):
+        with pytest.raises(ValueError, match=f"^order must be in 1..32, got {n}$"):
+            axis_words("1", n)
 
 
 def test_orbit_matches_centroid_of_cycled_words():

@@ -24,7 +24,7 @@ from floretion.words import (
     signed_word_mul,
     word_mul,
 )
-from helpers import paper_rule
+from helpers import paper_rule, reference_format_word, reference_parse_word
 
 # Hand-written quaternion table (rows = left factor), from the defining
 # relations ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -e, e the identity.
@@ -172,6 +172,36 @@ def test_parse_word_errors():
             with pytest.raises(ValueError, match=f"^word length {MAX_ORDER + 1} exceeds maximum order {MAX_ORDER}$"):
                 parse_word(text, order)
     assert parse_word("1" * MAX_ORDER) == "1" * MAX_ORDER
+
+
+def test_parse_word_matches_reference_oracle():
+    # every string of length 0-3 over the digits, the letters and five bad characters
+    alphabet = "1247ijke" + "x5 I\u00e9"
+    for n in range(4):
+        for chars in product(alphabet, repeat=n):
+            text = "".join(chars)
+            for order in (None, 1, 2, 3, 4):
+                try:
+                    want = reference_parse_word(text, order)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        parse_word(text, order)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert parse_word(text, order) == want
+
+
+@pytest.mark.parametrize("text", [list("12"), None, 12, b"12"])
+def test_parse_word_rejects_non_str(text):
+    with pytest.raises(TypeError):
+        parse_word(text)
+
+
+def test_format_word_matches_reference_oracle():
+    for n in range(1, 5):
+        for w in all_words(n):
+            for letters in (False, True):
+                assert format_word(w, letters) == reference_format_word(w, letters)
 
 
 def test_parse_signed_word():
