@@ -117,7 +117,7 @@ class Element:
                 w = parse_word(word, order)
                 clean[w] = clean[w] + q if w in clean else q
             clean = {w: q for w, q in clean.items() if q}
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", operator.index(order))
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_packed", None)
 

@@ -163,8 +163,9 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     lines.append(f"Element product order 5: 8 x 256 terms in {t_sparse * 1e3:.3f} ms")
     t_json, _ = timed("element_json_round_trip_order5_256", 3, lambda: element_from_json(element_to_json(z)))
     lines.append(f"Element JSON round trip order 5: 256 terms in {t_json * 1e3:.3f} ms")
-    t_vanish, vanishes = timed("check_vanishing_order8", 3, lambda: check_vanishing("12121212"))
-    lines.append(f"check_vanishing 12121212: {str(vanishes).lower()} in {t_vanish:.3f} s")
+    for k, word in ((8, "12121212"), (32, "1247" * 8)):
+        t_vanish, vanishes = timed(f"check_vanishing_order{k}", 3, lambda: check_vanishing(word))
+        lines.append(f"check_vanishing {word}: {str(vanishes).lower()} in {t_vanish * 1e3:.3f} ms")
 
     _, _, y = padovan_elements()
     t_stream, stream = timed("coeff_stream_padovan_ik_200", 3, lambda: coeff_stream(y, "ik", 200))

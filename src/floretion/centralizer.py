@@ -15,11 +15,12 @@ sums multiply to zero in both orders; `check_vanishing` tests that
 cancellation exactly.
 
 Both the product sign and commutation are products of per-digit factors,
-so counting and listing run one four-state transfer over positions: the
-state is the parity of anticommuting digit pairs so far and the sign so
-far.  One transfer loop serves both, and only the value carried per state
-differs: counts carry an integer, O(n) sums at any order; listings carry
-the word prefixes and grow them one digit at a time, sized to the output.
+so counting and listing run one four-state transfer over positions: a
+2-bit state (bit 0 the anticommuting parity, bit 1 a minus sign so far)
+takes each digit's XOR mask (`_masks`); counts carry an integer per state
+and listings the word prefixes.  `check_vanishing` diagonalizes the pair
+transfer by Walsh-Hadamard characters, so a product's sum of squared
+coefficients is an entrywise product of 256-entry tables, exact at any order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 from .algebra import Element
 from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_word, word_mul
@@ -37,15 +40,6 @@ from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_wor
 #: 903 MB for any other word), the largest listing this package signs up
 #: for.  Counts have no cap.
 SCAN_MAX_ORDER = 12
-
-#: `check_vanishing` multiplies two sums of 4**(n-1) words with coefficient
-#: 1, so 16**10 < 2**53 keeps both products on the exact float64 matrix path
-#: of `Element.__mul__` up to order 10.  Fresh-process CLI calls on a 2-vCPU
-#: x86-64 host, whose speed drifts, took 0.28-0.29 s (38 MB peak) at order 8,
-#: 0.57-0.69 s (77 MB) at order 9 and 0.95-1.23 s (141 MB) at order 10.  Order
-#: 11 would fall to the packed path's 4**20 term pairs per product, hours
-#: of work.
-VANISHING_MAX_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -73,29 +67,25 @@ def commutes(b: str, c: str) -> bool:
     return word_mul(b, c).sign == word_mul(c, b).sign
 
 
-def _transitions(word: str) -> list[list[tuple[str, bool, int]]]:
-    """Per digit b of `word`, for d in code order: (d, d anticommutes with b, sign of d * b)."""
-    return [
-        [(d, local_mul(d, b)[0] != local_mul(b, d)[0], local_mul(d, b)[0]) for d in DIGITS]
-        for b in word
-    ]
+@cache
+def _masks(b: str) -> list[int]:
+    """Per digit d in code order, its XOR on a state: bit 0 if d anticommutes with b, bit 1 if d * b < 0."""
+    return [(local_mul(d, b)[0] != local_mul(b, d)[0]) | (local_mul(d, b)[0] < 0) << 1 for d in DIGITS]
 
 
 def _transfer(word: str, start, append):
-    """The four-state transfer over a canonical word's positions.  Each state
-    (odd anticommuting parity, sign) carries a value, `start` at first; digit
-    d maps v to `append(v, d)`, and values meeting in a state sum by `+=`.
-    Returns the values at (even, +1) and (even, -1)."""
-    n = len(word)
-    states = {(False, 1): start}
-    for r, step in enumerate(_transitions(word), 1):
+    """The four-state transfer over a canonical word's positions: digit d maps a
+    state's value v to `append(v, d)`, from `start` at state 0, and values meeting
+    in a state sum by `+=`.  Returns the values at states 0 (plus) and 2 (minus)."""
+    n, states = len(word), {0: start}
+    for r, b in enumerate(word, 1):
         nxt = defaultdict(type(start))
-        for d, anti, s in step:
-            for (odd, sign), v in states.items():
-                if r < n or odd == anti:
-                    nxt[odd ^ anti, sign * s] += append(v, d)
+        for d, m in zip(DIGITS, _masks(b)):
+            for s, v in states.items():
+                if r < n or not (s ^ m) & 1:
+                    nxt[s ^ m] += append(v, d)
         states = nxt
-    return states[False, 1], states[False, -1]
+    return states[0], states[2]
 
 
 def centralizer_counts(word: str) -> tuple[int, int]:
@@ -145,19 +135,35 @@ def sigma_sums(word: str) -> tuple[Element, Element]:
     return Element._canonical(n, dict.fromkeys(t.plus, one)), Element._canonical(n, dict.fromkeys(t.minus, one))
 
 
+@cache
+def _gram(b: str) -> list[int]:
+    """W_b[16a + c] = sum over u of lam_u[a] * lam_u[c], with lam_u[a] the sum
+    of sign(d * e) * (-1)**popcount(a & (m(d) | m(e) << 2)) over d * e = +-u."""
+    pairs = [(local_mul(d, e), md | me << 2) for d, md in zip(DIGITS, _masks(b)) for e, me in zip(DIGITS, _masks(b))]
+    lam = [[sum(s * (-1) ** (a & x).bit_count() for (s, v), x in pairs if v == u) for a in range(16)] for u in DIGITS]
+    return [sum(v[a] * v[c] for v in lam) for a in range(16) for c in range(16)]
+
+
+def _square_sums(word: str) -> list[int]:
+    """Sums of squared coefficients of plus*plus, plus*minus, minus*plus, minus*minus: each
+    is sum_i (-1)**popcount(i & 17F) * prod_r W_{b_r}[i] / 256, F = left | right << 2,
+    or ArithmeticError if that is not an integer."""
+    prods = [prod(w) for w in zip(*map(_gram, word))]
+    sums = [sum(-p if (i & 17 * f).bit_count() % 2 else p for i, p in enumerate(prods)) for f in (0, 8, 2, 10)]
+    if any(t % 256 for t in sums):
+        raise ArithmeticError(f"inexact square sums at order {len(word)}")
+    return [t // 256 for t in sums]
+
+
 def check_vanishing(word: str) -> bool:
     """Whether both mixed products of the component sums vanish.
 
     Requires the base word to square to the identity, i.e. an even count of
-    non-7 digits; words squaring to minus the identity are rejected, and so
-    are words above `VANISHING_MAX_ORDER`.
+    non-7 digits; words squaring to minus the identity are rejected.
     """
     w = parse_word(word)
-    if len(w) > VANISHING_MAX_ORDER:
-        raise ValueError(f"the vanishing check supports order <= {VANISHING_MAX_ORDER}; got {len(w)}")
     if noncentral_count(w) % 2:
         raise ValueError(
             f"{w!r} squares to minus the identity (odd non-7 digit count); the vanishing identity needs a square equal to the identity"
         )
-    plus, minus = sigma_sums(w)
-    return (minus * plus).is_zero() and (plus * minus).is_zero()
+    return _square_sums(w)[1:3] == [0, 0]

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 from floretion.algebra import Element
+from floretion.centralizer import sigma_sums
 from floretion.geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
 from floretion.render import _STYLE, _check_limits, _fmt
 from floretion.sequences import Recurrence
 from floretion.symmetry import apply_perm_element, axis_reflection
-from floretion.words import DIGITS, MAX_ORDER, all_words, format_word, parse_word, word_mul
+from floretion.words import DIGITS, MAX_ORDER, all_words, format_word, noncentral_count, parse_word, word_mul
 
 _LETTER_TO_DIGIT = {"i": "1", "j": "2", "k": "4", "e": "7"}
 _DIGIT_TO_LETTER = {d: c for c, d in _LETTER_TO_DIGIT.items()}
@@ -75,6 +76,25 @@ def reference_mul(x: Element, y: Element) -> Element:
             s, pw = word_mul(bw, cw)
             out[pw] = out.get(pw, 0) + (q * r if s > 0 else -q * r)
     return Element(x.order, out)
+
+
+def reference_square_sums(word: str) -> list[int]:
+    """Sums of squared coefficients of the exact `Element` products
+    plus*plus, plus*minus, minus*plus and minus*minus of the component sums."""
+    plus, minus = sigma_sums(word)
+    return [sum(q * q for q in (x * y).terms.values()) for x, y in ((plus, plus), (plus, minus), (minus, plus), (minus, minus))]
+
+
+def reference_vanishing(word: str) -> bool:
+    """Oracle for `check_vanishing`: both component sums built as `Element`s
+    from the tile listing and multiplied in both orders."""
+    w = parse_word(word)
+    if noncentral_count(w) % 2:
+        raise ValueError(
+            f"{w!r} squares to minus the identity (odd non-7 digit count); the vanishing identity needs a square equal to the identity"
+        )
+    plus, minus = sigma_sums(w)
+    return (minus * plus).is_zero() and (plus * minus).is_zero()
 
 
 def random_axis_symmetric(rng, n: int, axis: str, max_terms: int = 5) -> Element:

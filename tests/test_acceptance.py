@@ -16,7 +16,7 @@ import numpy as np
 
 from floretion import cli
 from floretion.algebra import Element
-from floretion.centralizer import centralizer_counts, centralizer_tiles, sigma_sums
+from floretion.centralizer import centralizer_counts, centralizer_tiles, check_vanishing, sigma_sums
 from floretion.geometry import centroid, dihedral_matrix, tile_polygon
 from floretion.packed import packed_mul_many
 from floretion.sequences import (
@@ -41,7 +41,7 @@ from floretion.words import (
     noncentral_count,
     word_mul,
 )
-from helpers import random_element, random_fraction
+from helpers import random_element, random_fraction, random_word
 
 F = Fraction
 
@@ -201,7 +201,14 @@ def test_c09_vanishing_products():
             assert (minus * plus).is_zero()
             assert (plus * minus).is_zero()
             checked += 1
-    report(9, f"vanishing: both component-sum products zero for all {checked} involutive words, n<=3")
+    # seeded words squaring to the identity at every order 4-32, by the closed form
+    rng = random.Random(932)
+    seeded = 0
+    for n in range(4, 33):
+        words = [b for b in (random_word(rng, n) for _ in range(40)) if noncentral_count(b) % 2 == 0][:3]
+        assert len(words) == 3 and all(check_vanishing(b) is True for b in words)
+        seeded += len(words)
+    report(9, f"vanishing: both component-sum products zero for all {checked} involutive words, n<=3, and {seeded} seeded, n=4..32")
 
 
 def test_c10_parity_identity():

@@ -69,6 +69,15 @@ def test_numpy_integer_orders_accepted():
     assert list(all_words(np.int64(1))) == ["1", "2", "4", "7"]
 
 
+def test_numpy_integer_order_is_stored_as_int():
+    import numpy as np
+
+    x = Element(np.int64(2), {"12": 1})
+    assert type(x.order) is int and type((x * x).order) is int and type((x * Element(2, {"44": 3})).order) is int
+    assert element_from_json(element_to_json(x)) == x
+    assert json.loads(element_to_json(x * x))["order"] == 2
+
+
 def test_zero_coefficients_never_stored():
     x = Element(2, {"12": 0, "44": 1})
     assert "12" not in x.terms

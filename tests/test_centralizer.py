@@ -5,9 +5,11 @@ import tracemalloc
 
 import pytest
 
+from floretion import centralizer
 from floretion.algebra import Element
 from floretion.centralizer import (
     SCAN_MAX_ORDER,
+    _square_sums,
     centralizer_counts,
     centralizer_tiles,
     check_vanishing,
@@ -25,7 +27,7 @@ from floretion.words import (
     signed_word_mul,
     word_mul,
 )
-from helpers import random_word
+from helpers import random_word, reference_square_sums, reference_vanishing
 
 
 def brute_force_tiles(b: str) -> tuple[list[str], list[str]]:
@@ -189,7 +191,7 @@ def test_vanishing_orders_5_and_6():
 
 
 def test_vanishing_order_8():
-    # both products of 4**7 x 4**7 term pairs run on the matrix path
+    # the closed form: no tile listing and no product, 4**7 tiles per sum
     rng = random.Random(88)
     checked = 0
     while checked < 2:
@@ -256,3 +258,53 @@ def test_conjugacy_orbit_is_pair():
                 assert orbit == {sb}
             else:
                 assert orbit == {SignedWord(1, b), SignedWord(-1, b)}
+
+
+def _vanishing_outcome(word):
+    """(bool, None) or (None, ValueError text) of `check_vanishing` on one
+    word, asserted equal to the oracle's."""
+    outs = []
+    for fn in (check_vanishing, reference_vanishing):
+        try:
+            outs.append((fn(word), None))
+        except ValueError as e:
+            outs.append((None, str(e)))
+    assert outs[0] == outs[1], word
+    assert outs[0][0] is None or type(outs[0][0]) is bool
+    return outs[0]
+
+
+def test_vanishing_matches_reference_oracle():
+    # every word of orders 1-5, then seeded words at orders 6-10: the same
+    # bool, or the same ValueError text for a word squaring to minus the identity
+    outcomes = [_vanishing_outcome(b) for n in range(1, 6) for b in all_words(n)]
+    rng = random.Random(610)
+    outcomes += [_vanishing_outcome(random_word(rng, n)) for n in range(6, 11) for _ in range(5)]
+    assert {o for o, _ in outcomes} == {True, None}
+    # letter spelling is parsed before the check
+    assert _vanishing_outcome("ijij") == (True, None)
+    # above order 10 the oracle runs only its rejection, which comes before any product
+    for n in range(11, 33):
+        assert _vanishing_outcome("1" + "7" * (n - 1))[0] is None
+
+
+def test_square_sums_match_exact_products():
+    # sum of squared coefficients of plus*plus, plus*minus, minus*plus and
+    # minus*minus: every word up to order 4, seeded words at orders 5 and 6
+    rng = random.Random(56)
+    words = [b for n in range(1, 5) for b in all_words(n)] + [random_word(rng, n) for n in (5, 5, 5, 6, 6)]
+    words += [identity_word(5), identity_word(6)]
+    nonzero = 0
+    for b in words:
+        sums = _square_sums(b)
+        assert sums == reference_square_sums(b), b
+        nonzero += sum(1 for s in sums if s)
+    # the zero test discriminates: most products are nonzero
+    assert nonzero > len(words)
+
+
+def test_square_sums_raise_on_inexact_tables(monkeypatch):
+    monkeypatch.setattr(centralizer, "_gram", lambda b: [1] + [0] * 255)
+    with pytest.raises(ArithmeticError, match="inexact square sums at order 2"):
+        _square_sums("12")
+

@@ -96,8 +96,6 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["coeff", "-", "12", "--power", "1000000000000"], _SMALL_ELEMENT),
         (["seq", "--preset", "fib", "--seed", "1/3,2,-5/7", "--word", "ij", "--mmax", "4097"], None),
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "1000000000000"], None),
-        # order 11 squares to the identity but is above the vanishing cap
-        (["vanishing", "12121212127"], None),
         # finite scales whose coordinates would overflow to inf
         (["centroid", "1111", "--d1", "1.7e308"], None),
         (["symmetry", "orbit", "2222", "--d1", "1.79e308"], None),
@@ -111,7 +109,7 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         "scale-zero-denominator", "svg-r0-nan", "max-order-0", "scan-order-13", "scan-order-neg",
         "iterations-over-cap", "rng-seed", "json-too-deep", "coeff-float-overflow", "seq-float-overflow",
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
-        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge", "vanishing-order-11",
+        "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge",
         "d1-overflow", "orbit-d1-overflow", "r0-overflow", "svg-r0-overflow", "highlight-depth-40",
     ],
 )
@@ -255,6 +253,15 @@ def test_vanishing():
     assert r.stdout.strip() == "true"
     r = run_cli("vanishing", "1")
     assert r.returncode != 0
+
+
+def test_vanishing_above_order_10():
+    # order 11 was refused while the check multiplied Elements; every order now answers
+    for word in ("12121212127", "1247" * 8):
+        r = run_cli("vanishing", word)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "true\n", "")
+    r = run_cli("vanishing", "1" + "7" * 31)
+    assert r.returncode == 2 and r.stdout == "" and len(r.stderr.splitlines()) == 1
 
 
 def test_seq_presets():
@@ -552,6 +559,7 @@ _NUMPY_FREE = [
     (["coeff", "-", "12", "-m", "1"], _SMALL_ELEMENT),
     (["render", "3", "--labels", "--letters"], None),
     (["centralizer", "1247", "--svg", "-"], None),
+    (["vanishing", "1212"], None),
     (["mul", "12x4", "1247"], None),
     (["mul", "124", "1247"], None),
     (["render", "9"], None),
@@ -562,21 +570,21 @@ _NUMPY_FREE = [
 def test_numpy_free_commands_never_import_numpy():
     blocked = _cli_child("block", _NUMPY_FREE)
     assert blocked == _cli_child("allow", _NUMPY_FREE)
-    assert [code for code, _ in blocked] == [0] * 12 + [2] * 4
+    assert [code for code, _ in blocked] == [0] * 13 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
     assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
     assert blocked[10][1].count("<text") == 64 and blocked[11][1].count(" highlight-") == 128
-    assert all(out for _, out in blocked[:12]) and not any(out for _, out in blocked[12:])
+    assert blocked[12][1] == "true\n"
+    assert all(out for _, out in blocked[:13]) and not any(out for _, out in blocked[13:])
 
 
 def test_product_commands_import_numpy():
     cases = [
         (["pow", "-", "-m", "2"], _SMALL_ELEMENT),
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "12"], None),
-        (["vanishing", "1212"], None),
     ]
-    assert _cli_child("block", cases) == [["ImportError", ""]] * 3
-    assert [code for code, _ in _cli_child("allow", cases)] == [0] * 3
+    assert _cli_child("block", cases) == [["ImportError", ""]] * 2
+    assert [code for code, _ in _cli_child("allow", cases)] == [0] * 2
 
 
 def test_bench_json_record(tmp_path):
@@ -627,9 +635,10 @@ def test_bench_json_record(tmp_path):
         row = metrics[name]
         assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
         assert line == f"CLI {label}: {row['value'] * 1e3:.1f} ms wall, fresh process"
-    row = metrics["check_vanishing_order8"]
-    assert row["unit"] == "s" and len(row["runs_s"]) == 3
-    assert f"check_vanishing 12121212: true in {row['value']:.3f} s" in r.stdout.splitlines()
+    for k, word in ((8, "12121212"), (32, "1247" * 8)):
+        row = metrics[f"check_vanishing_order{k}"]
+        assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
+        assert f"check_vanishing {word}: true in {row['value'] * 1e3:.3f} ms" in r.stdout.splitlines()
     assert f"word_mul      {metrics['word_mul']['value']:12.0f} products/s" in r.stdout.splitlines()
 
 
