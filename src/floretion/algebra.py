@@ -282,8 +282,9 @@ class Element:
         return z
 
     def __pow__(self, m: int) -> "Element":
-        if not isinstance(m, int) or m < 0:
+        if type(m) is bool or not hasattr(m, "__index__") or m < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {m}")
+        m = operator.index(m)
         if not m:
             return Element.one(self.order)
         # square and multiply from the lowest set bit: m = 2**k costs k products
@@ -362,8 +363,9 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     powers of x stay in the words that supp(x) generates.  With keys
     relabelled r = key ^ full, the lane product XNOR becomes XOR,
     r(u v) = r(u) ^ r(v), so those words are the GF(2) span of the
-    relabelled support, 2**rank words.  Each is numbered by its
-    coordinates in a basis of that span, so numbers multiply by XOR too.
+    relabelled support, 2**rank words.  They are numbered as the span is
+    built from {0}, doubling at each support word r not yet in it: u ^ r
+    takes number(u) + the size so far, so numbers multiply by XOR too.
     Over the span, x**m is an integer vector a over d**m, d the common
     denominator of x, and one right multiplication by x = sum num_j v_j / d
     is
@@ -384,26 +386,20 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
         return [Fraction(0)] * count
     xs, xnum, den = _numerators(x)
     full = packed.packed_identity(n)
-    basis: list[int] = []  # leading bits distinct, in descending order
-    for r in (key ^ full for key in xs.tolist()):
-        for b in basis:
-            r = min(r, r ^ b)  # clears b's leading bit
-        if r:
-            basis = sorted(basis + [r], reverse=True)
-            if len(xs) << len(basis) > packed._BLOCK_PAIRS:
+    rs = [key ^ full for key in xs.tolist()]
+    # the span in number order: a new word r puts u ^ r at number(u) | size
+    number = {0: 0}
+    for r in rs:
+        if r not in number:
+            if len(xs) * 2 * len(number) > packed._BLOCK_PAIRS:
                 return None
-    # number a span word by its coordinates: bit i set when its sum takes basis[i]
-    span = np.zeros(1, dtype=np.uint64)
-    keys = np.append(xs, np.uint64(pack_word(word))) ^ np.uint64(full)  # supp(x), then word
-    numbers = np.zeros(len(keys), dtype=np.intp)
-    for i, b in enumerate(map(np.uint64, basis)):
-        span = np.concatenate((span, span ^ b))
-        low = np.minimum(keys, keys ^ b)
-        numbers |= (low != keys).astype(np.intp) << i
-        keys = low
-    if keys[-1]:  # the word is outside the span
+            size = len(number)
+            number.update([(u ^ r, i | size) for u, i in number.items()])
+    t = number.get(pack_word(word) ^ full)
+    if t is None:  # the word is outside the span
         return [Fraction(0)] * count
-    cols, t = numbers[:-1], int(numbers[-1])
+    span = np.fromiter(number, dtype=np.uint64, count=len(number))
+    cols = np.fromiter(map(number.get, rs), dtype=np.intp, count=len(rs))
     idx = np.arange(len(span))[:, None] ^ cols
     # looked up on the module so a wrapper installed there sees the call
     signs, _ = packed.packed_mul_many(span[idx] ^ np.uint64(full), xs, n)

@@ -1,6 +1,6 @@
 """`floretion bench`: time the product kernels, word parse and pack, dense
 `Element` squares, a sparse `Element` product, the JSON round trip, the
-vanishing check, two coefficient streams, an overlay render, a centralizer
+vanishing check, three coefficient streams, an overlay render, a centralizer
 listing and four README commands end to end as fresh `python -m floretion`
 processes."""
 
@@ -175,10 +175,12 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
     t_extend, _ = timed("recurrence_extend_padovan_ik_190", 3, lambda: rec.extend(stream[:10], 190))
     lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
-    rng = random.Random(SEED)  # a sparse element: 4 words of order 3, its whole 18-power head
-    z = Element(3, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(3)), 4)})
-    t_head, _ = timed("coeff_stream_random_order3_head", 3, lambda: coeff_stream(z, z.support()[0], 18))
-    lines.append(f"coeff_stream random order 3: 18 powers of 4 terms in {t_head * 1e3:.3f} ms")
+    # sparse elements, each its whole head; the order-6 one spans 512 words, the widest span here
+    for k, terms, head in ((3, 4, 18), (6, 10, 130)):
+        rng = random.Random(SEED)
+        z = Element(k, {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(k)), terms)})
+        t_head, _ = timed(f"coeff_stream_random_order{k}_head", 3, lambda: coeff_stream(z, z.support()[0], head))
+        lines.append(f"coeff_stream random order {k}: {head} powers of {terms} terms in {t_head * 1e3:.3f} ms")
 
     rng = random.Random(SEED)  # the tiles workload's overlay render; 4**6 - 1 packs the identity word
     t = centralizer_tiles(unpack_word(rng.randrange(4**6 - 1), 6))

@@ -226,7 +226,7 @@ def _cmd_centralizer(args) -> int:
         outputs.append((args.svg, render_tiling(len(w), args.r0, extra_classes=extra)))
     lines = []
     for label, count, part in zip(("plus", "minus"), counts, parts):
-        listing = "" if args.count_only else ": " + " ".join(sorted(format_word(c, args.letters) for c in part))
+        listing = "" if args.count_only else ": " + " ".join(sorted(format_word(" ".join(part), args.letters).split()))
         lines.append(f"{label} {count}{listing}")
     lines.append(f"total {sum(counts)}")
     _emit(lines, outputs)

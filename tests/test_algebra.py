@@ -363,6 +363,17 @@ def test_pow():
         x**-1
 
 
+def test_pow_exponent_is_checked_as_an_order():
+    # any integer with __index__, numpy's too; bools, floats and negatives are refused
+    import numpy as np
+
+    x = Element(2, {"12": 1, "77": F(1, 2)})
+    assert x ** np.int64(3) == x**3 and x ** np.uint8(0) == Element.one(2)
+    for m in (True, False, 3.0, np.float64(2.0), -1, np.int64(-2)):
+        with pytest.raises(ValueError, match=f"^exponent must be a nonnegative integer, got {m}$"):
+            x**m
+
+
 @pytest.mark.parametrize(("m", "products"), [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3)])
 def test_pow_products(m, products, monkeypatch):
     # square and multiply from the lowest set bit, never multiplying by one

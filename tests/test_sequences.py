@@ -354,26 +354,65 @@ def _calls(monkeypatch, owner, name) -> list:
 
 def _span(x) -> set[str]:
     """The words supp(x) generates, closed under `word_mul`."""
-    words = {"7" * x.order}
-    while True:
-        more = words | {word_mul(u, v)[1] for u in words for v in x.terms}
-        if more == words:
-            return words
-        words = more
+    words, new = set(), {"7" * x.order}
+    while new:
+        words |= new
+        new = {word_mul(u, v)[1] for u in new for v in x.terms} - words
+    return words
+
+
+def _spanning(rng, n: int, rank: int, size: int) -> list[str]:
+    """`size` distinct order-n words spanning 2**rank words: `rank` random
+    words, each outside the span of those before, then products of random
+    subsets of them."""
+    gens, span = [], {"7" * n}
+    while len(gens) < rank:
+        g = random_word(rng, n)
+        if g not in span:
+            gens.append(g)
+            span |= {word_mul(u, g)[1] for u in span}
+    words = set(gens)
+    while len(words) < size:
+        w = "7" * n
+        for g in rng.sample(gens, rng.randint(2, rank)):
+            w = word_mul(w, g)[1]
+        words.add(w)
+    return sorted(words)
 
 
 def test_kernel_head_route(monkeypatch):
     # the kernel runs while |span| * |x| <= packed._BLOCK_PAIRS, else Element products
     rng = random.Random(20261021)
     products = _calls(monkeypatch, Element, "__mul__")
-    for n, terms, kernel in ((3, 64, True), (4, 64, True), (4, 65, False), (4, 256, False)):
-        x = Element(n, {w: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in rng.sample(sorted(all_words(n)), terms)})
-        assert len(_span(x)) == 4**n  # so |span| * |x| is 4**n * terms
-        head = 2 * 2**n + 2
+
+    def coeffs(words):
+        return {w: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for w in words}
+
+    u, v = "1247", "2471"
+    cases = [  # (x, |span|, word, powers, kernel)
+        *((Element(n, coeffs(rng.sample(sorted(all_words(n)), terms))), 4**n, "1" * n, 2 * 2**n + 2, kernel)
+          for n, terms, kernel in ((3, 64, True), (4, 64, True), (4, 65, False), (4, 256, False))),
+        # the identity word relabels to 0, which every span holds already
+        (Element(3, coeffs(["777", "124", "412"])), 4, "124", 18, True),
+        # the third word is the product of the first two, so it adds nothing to the span
+        (Element(4, coeffs([u, v, word_mul(u, v)[1]])), 4, "7777", 34, True),
+        # one term: its span is itself and the identity
+        (Element(5, coeffs(["12471"])), 2, "77777", 66, True),
+        # the word is outside the span, so every coefficient is 0
+        (Element(6, coeffs(["177777", "217777", "777777"])), 4, "447777", 130, True),
+    ]
+    # either side of the bound at a span of 2**10 words: 15 * 2**10 and 17 * 2**10 pairs
+    for n in (5, 12):
+        for terms, kernel in ((15, True), (17, False)):
+            words = _spanning(rng, n, 10, terms)
+            cases.append((Element(n, coeffs(words)), 2**10, words[0], 6, kernel))
+    for x, size, word, m, kernel in cases:
+        span = _span(x)
+        assert len(span) == size and (size * len(x.terms) <= packed._BLOCK_PAIRS) is kernel
         products.clear()
-        stream = coeff_stream(x, "1" * n, head)
-        assert (not products) is kernel, (n, terms)
-        assert stream == reference_stream(x, "1" * n, head)
+        stream = coeff_stream(x, word, m)
+        assert (not products) is kernel, (x.order, len(x.terms), word)
+        assert stream == reference_stream(x, word, m) and any(stream) is (word in span)
 
 
 def test_padovan_stream_makes_no_element_product(monkeypatch):
