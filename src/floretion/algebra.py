@@ -64,6 +64,7 @@ from typing import Callable, Iterable, Mapping
 from .words import (
     CODE_DIGIT,
     DIGIT_CODE,
+    _non_integer,
     check_order,
     format_word,
     identity_word,
@@ -282,7 +283,7 @@ class Element:
         return z
 
     def __pow__(self, m: int) -> "Element":
-        if type(m) is bool or not hasattr(m, "__index__") or m < 0:
+        if _non_integer(m) or m < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {m}")
         m = operator.index(m)
         if not m:
@@ -596,7 +597,7 @@ DEFAULT_EXP_TERMS = 20
 
 def exp_truncated(x: Element, terms: int = DEFAULT_EXP_TERMS) -> Element:
     """Truncated exponential series: the exact sum of x**m / m! for m < terms."""
-    if terms < 1:
+    if _non_integer(terms) or terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     acc = term = Element.one(x.order)
     for m in range(1, terms):

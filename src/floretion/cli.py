@@ -45,27 +45,16 @@ from .words import (
 )
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit(lines: list[str], outputs: list[tuple[str, str]]) -> None:
-    """Print `lines` and write each (path, text) output.  Files are written
-    first, so a failed write leaves stdout empty; outputs to - follow `lines`."""
+def _emit(lines: list[str], outputs: list[tuple[str | None, str]]) -> None:
+    """Print `lines` and write each (path, text) output, None or - meaning stdout.
+    Files are written first, so a failed write leaves stdout empty; outputs to - follow `lines`."""
     printed = "".join(f"{line}\n" for line in lines)
     for path, text in sorted([(None, printed), *outputs], key=lambda o: o[0] in (None, "-")):
-        _write_text(path, text)
+        if path in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
 
 
 #: Largest exponent `pow -m` and `coeff -m` take and longest stream `seq
@@ -105,17 +94,27 @@ def _unprintable(q: Fraction) -> bool:
     return any(v.bit_length() >= top.bit_length() and abs(v) >= top for v in (q.numerator, q.denominator))
 
 
-def _check_printable(values: list[Fraction], option: str, label) -> None:
+def _check_printable(values: list[Fraction], option: str | None, label) -> None:
     """Refuse an `_unprintable` value, naming `label(i)` for the first such
-    values[i] and the option to lower."""
+    values[i] and the option to lower, if one is given."""
     for i, q in enumerate(values):
         if _unprintable(q):
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"{label(i)} has more than {limit} digits, the most Python prints; lower {option}")
+            lower = f"; lower {option}" if option else ""
+            raise ValueError(f"{label(i)} has more than {limit} digits, the most Python prints{lower}")
+
+
+def _check_coeffs(x: Element, option: str | None) -> None:
+    """`_check_printable` on x's coefficients, naming the word of the first refused."""
+    words = x.support()
+    _check_printable([x.terms[w] for w in words], option, lambda i: f"the coefficient of {words[i]}")
 
 
 def _load_element(path: str) -> Element:
-    return element_from_json(_read_text(path))
+    if path == "-":
+        return element_from_json(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return element_from_json(fh.read())
 
 
 def _parse_coords(text: str | None):
@@ -128,77 +127,71 @@ def _parse_coords(text: str | None):
 
 
 # -- subcommand handlers ---------------------------------------------------------
+# Each returns the (lines, outputs) `main` passes to `_emit`: a call that raises writes nothing.
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> tuple:
     if len(args.words) < 2:
         raise ValueError("mul needs at least two words")
     operands = [parse_signed_word(t) for t in args.words]
     acc = operands[0]
     for sw in operands[1:]:
         acc = signed_word_mul(acc, sw)
-    print(format_signed_word(acc, args.letters))
-    return 0
+    return [format_signed_word(acc, args.letters)], []
 
 
-def _cmd_pow(args) -> int:
+def _cmd_pow(args) -> tuple:
     _check_cap(args.power, "-m/--power")
     p = _load_element(args.element) ** args.power
-    words = p.support()
-    _check_printable([p.terms[w] for w in words], "-m/--power", lambda i: f"the coefficient of {words[i]}")
-    print(element_to_json(p))
-    return 0
+    _check_coeffs(p, "-m/--power")
+    return [element_to_json(p)], []
 
 
-def _cmd_coeff(args) -> int:
+def _cmd_coeff(args) -> tuple:
     _check_cap(args.power, "-m/--power")
     x = _load_element(args.element)
     q = (x**args.power).coeff(args.word)
     if not args.float:
         _check_printable([q], "-m/--power", lambda i: f"the coefficient of {args.word}")
-    print(float(q) if args.float else q)
-    return 0
+    return [str(float(q) if args.float else q)], []
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> tuple:
     x = _load_element(args.element)
+    _check_coeffs(x, None)
     even, odd = x.parity_split()
-    print(json.dumps({"even": element_to_dict(even), "odd": element_to_dict(odd)}))
-    return 0
+    return [json.dumps({"even": element_to_dict(even), "odd": element_to_dict(odd)})], []
 
 
-def _cmd_symmetry_apply(args) -> int:
+def _cmd_symmetry_apply(args) -> tuple:
     pi = parse_perm(args.perm)
     if args.word is not None:
-        print(format_word(apply_perm_word(pi, parse_word(args.word)), args.letters))
-    elif args.element is not None:
-        print(element_to_json(apply_perm_element(pi, _load_element(args.element))))
-    else:
-        raise ValueError("symmetry apply needs --word or --element")
-    return 0
+        return [format_word(apply_perm_word(pi, parse_word(args.word)), args.letters)], []
+    if args.element is not None:
+        y = apply_perm_element(pi, _load_element(args.element))
+        _check_coeffs(y, None)
+        return [element_to_json(y)], []
+    raise ValueError("symmetry apply needs --word or --element")
 
 
-def _cmd_symmetry_axis(args) -> int:
+def _cmd_symmetry_axis(args) -> tuple:
     x = _load_element(args.element)
-    print("true" if is_axis_symmetric(x, args.axis) else "false")
-    return 0
+    return ["true" if is_axis_symmetric(x, args.axis) else "false"], []
 
 
-def _cmd_symmetry_orbit(args) -> int:
+def _cmd_symmetry_orbit(args) -> tuple:
     w = parse_word(args.word)
     coords = _parse_coords(args.coords)
-    for k, p in enumerate(cyclic_orbit_points(w, coords, args.d1)):
-        print(f"{format_word(local_cycle(w, coords, k), args.letters)} {p.x:.12g} {p.y:.12g}")
-    return 0
+    points = enumerate(cyclic_orbit_points(w, coords, args.d1))
+    return [f"{format_word(local_cycle(w, coords, k), args.letters)} {p.x:.12g} {p.y:.12g}" for k, p in points], []
 
 
-def _cmd_centroid(args) -> int:
+def _cmd_centroid(args) -> tuple:
     p = centroid(parse_word(args.word), args.d1)
-    print(f"{p.x:.12g} {p.y:.12g}")
-    return 0
+    return [f"{p.x:.12g} {p.y:.12g}"], []
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple:
     _check_limits(args.depth, args.r0)  # before the axis words, 2**depth of them
     extra = None
     if args.highlight_axis is not None:
@@ -206,11 +199,10 @@ def _cmd_render(args) -> int:
     svg = render_tiling(
         args.depth, args.r0, labels=args.labels, letters=args.letters, extra_classes=extra
     )
-    _write_text(args.output, svg)
-    return 0
+    return [], [(args.output, svg)]
 
 
-def _cmd_centralizer(args) -> int:
+def _cmd_centralizer(args) -> tuple:
     w = parse_word(args.word)
     if args.svg is not None:
         _check_limits(len(w), args.r0)
@@ -229,13 +221,11 @@ def _cmd_centralizer(args) -> int:
         listing = "" if args.count_only else ": " + " ".join(sorted(format_word(" ".join(part), args.letters).split()))
         lines.append(f"{label} {count}{listing}")
     lines.append(f"total {sum(counts)}")
-    _emit(lines, outputs)
-    return 0
+    return lines, outputs
 
 
-def _cmd_vanishing(args) -> int:
-    print("true" if check_vanishing(parse_word(args.word)) else "false")
-    return 0
+def _cmd_vanishing(args) -> tuple:
+    return ["true" if check_vanishing(parse_word(args.word)) else "false"], []
 
 
 def rational(text: str) -> Fraction:
@@ -260,7 +250,7 @@ def _b_file_text(values: list[Fraction], offset: int) -> str:
     return out.getvalue()
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> tuple:
     _check_cap(args.mmax, "--mmax")
     if (args.preset is None) == (args.element is None):
         raise ValueError("seq needs exactly one of --preset or --element")
@@ -289,11 +279,10 @@ def _cmd_seq(args) -> int:
     lines = [" ".join(f"{float(q):.12g}" if args.float else str(q) for q in scaled)]
     if args.recurrence:
         lines.append(f"no recurrence of order <= {args.max_order}" if rec is None else str(rec))
-    _emit(lines, b_files)
-    return 0
+    return lines, b_files
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple:
     _check_cap(args.iterations, "--iterations", MAX_ITERATIONS)
     if args.iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {args.iterations}")
@@ -302,8 +291,7 @@ def _cmd_bench(args) -> int:
     from . import bench  # numpy and the timed code load only after the checks
     lines, metrics = bench.run(args.order, args.iterations, args.scan_order)
     record = {"environment": bench.environment(), "metrics": metrics} if args.json is not None else None
-    _emit(lines, [] if record is None else [(args.json, json.dumps(record, indent=2) + "\n")])
-    return 0
+    return lines, [] if record is None else [(args.json, json.dumps(record, indent=2) + "\n")]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -435,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(*args.func(args))
     except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import math
 from typing import Mapping
 
 from .geometry import _VERTEX_ORDER, DEFAULT_R0, UNIT_VECTOR
-from .words import format_word
+from .words import _non_integer, format_word
 
 #: Depth cap for rendering; 4**8 polygons is already a ~10 MB file.
 RENDER_MAX_DEPTH = 8
@@ -55,7 +55,7 @@ class _FmtMemo(dict):
 
 def _check_limits(n: int, r0: float) -> None:
     """ValueError unless `render_tiling` takes depth n and circumradius r0."""
-    if not 1 <= n <= RENDER_MAX_DEPTH:
+    if _non_integer(n) or not 1 <= n <= RENDER_MAX_DEPTH:
         raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
     if not 0 < 2 * r0 < math.inf:  # the viewBox spans about 1.83*r0
         raise ValueError(f"circumradius must be positive with 2*r0 finite, got {r0}")

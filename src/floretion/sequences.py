@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import IO, Callable, Iterable, Sequence
 
 from .algebra import Element, _power_coeffs
-from .words import parse_word
+from .words import _non_integer, parse_word
 
 
 def coeff_stream(
@@ -55,7 +55,7 @@ def coeff_stream(
     t included, so a caller that refuses such a term computes none after
     it (the CLI refuses a term too long to print).
     """
-    if m_max < 1:
+    if _non_integer(m_max) or m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     w = parse_word(word, x.order)
     degree = 2**x.order
@@ -145,7 +145,7 @@ def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | Non
     error: the sequence simply has no short recurrence.  An all-zero
     sequence gives the order-1 rule a(m) = 0.
     """
-    if max_order < 1:
+    if _non_integer(max_order) or max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     need = 2 * max_order + 2
     if len(seq) < need:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .algebra import Element
 from .geometry import Vec2, centroid
-from .words import _DROP_DIGITS, check_order, parse_word
+from .words import _DROP_DIGITS, _non_integer, check_order, parse_word
 
 _CORNER_DIGITS = "124"
 
@@ -176,6 +176,8 @@ def _check_coords(coords: Iterable[int] | None, n: int) -> Iterable[int]:
 def local_cycle(word: str, coords: Iterable[int] | None = None, times: int = 1) -> str:
     """Apply the cycle 1 -> 2 -> 4 -> 1 `times` times in the selected
     1-based coordinates (all of them by default), fixing 7 everywhere."""
+    if _non_integer(times):
+        raise ValueError(f"times must be an integer, got {times}")
     w = parse_word(word)
     return _cycle(w, _check_coords(coords, len(w)), (IDENTITY, ROTATE, ROTATE2)[times % 3])
 

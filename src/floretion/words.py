@@ -138,9 +138,14 @@ def format_signed_word(sw: SignedWord, letters: bool = False) -> str:
     return "-" + body if sw.sign < 0 else body
 
 
+def _non_integer(v) -> bool:
+    """Whether v is a bool or has no `__index__`, so cannot be a count or an order."""
+    return type(v) is bool or not hasattr(v, "__index__")
+
+
 def check_order(n: int) -> None:
     """Raise ValueError unless n is an integer (not a bool) in 1..MAX_ORDER."""
-    if type(n) is bool or not hasattr(n, "__index__") or not 1 <= n <= MAX_ORDER:
+    if _non_integer(n) or not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
 
 

@@ -22,6 +22,9 @@ from floretion.algebra import (
 )
 from floretion.centralizer import sigma_sums
 from floretion.packed import pack_word, unpack_word
+from floretion.render import render_tiling
+from floretion.sequences import coeff_stream, find_recurrence
+from floretion.symmetry import local_cycle
 from floretion.words import all_words
 from helpers import random_element, random_fraction, random_word, reference_mul
 
@@ -372,6 +375,27 @@ def test_pow_exponent_is_checked_as_an_order():
     for m in (True, False, 3.0, np.float64(2.0), -1, np.int64(-2)):
         with pytest.raises(ValueError, match=f"^exponent must be a nonnegative integer, got {m}$"):
             x**m
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda k: coeff_stream(Element(2, {"12": 1, "77": F(1, 2)}), "12", k), "m_max must be >= 1"),
+        (lambda k: find_recurrence([F(1)] * 12, k), "max_order must be >= 1"),
+        (lambda k: exp_truncated(Element(2, {"12": 1}), k), "terms must be >= 1"),
+        (lambda k: local_cycle("1247", None, k), "times must be an integer"),
+        (render_tiling, r"render depth must be in 1\.\.8"),
+    ],
+    ids=["coeff_stream", "find_recurrence", "exp_truncated", "local_cycle", "render_tiling"],
+)
+def test_integer_parameters_are_checked_as_orders(call, message):
+    # as for the exponent: numpy integers work, bools and floats get the ValueError
+    import numpy as np
+
+    assert call(np.int64(2)) == call(2)
+    for v in (True, 2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"^{message}, got {v}$"):
+            call(v)
 
 
 @pytest.mark.parametrize(("m", "products"), [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3)])

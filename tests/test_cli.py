@@ -146,6 +146,30 @@ def test_centralizer_svg_limits_checked_before_listing(argv, monkeypatch, capsys
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_handlers_return_their_output(capsys, tmp_path):
+    # a handler writes nothing itself, so one that raises has printed nothing
+    path = tmp_path / "x.json"
+    path.write_text(_SMALL_ELEMENT)
+    x = str(path)
+    calls = [
+        ["mul", "12", "24"], ["pow", x, "-m", "2"], ["coeff", x, "12"], ["split", x],
+        ["symmetry", "apply", "rot", "--element", x], ["symmetry", "axis", "1", "--element", x],
+        ["symmetry", "orbit", "1247"], ["centroid", "71"], ["render", "2"],
+        ["centralizer", "12", "--svg", "-"], ["vanishing", "11"],
+        ["seq", "--preset", "fib", "--word", "ij", "--mmax", "4", "--bfile-parts", "-", "-"],
+        ["bench", "--order", "3", "--iterations", "20", "--scan-order", "0", "--json", "-"],
+    ]
+    parser, funcs = cli.build_parser(), set()
+    for argv in calls:
+        args = parser.parse_args(argv)
+        result = args.func(args)
+        assert capsys.readouterr() == ("", ""), argv
+        lines, outputs = result
+        assert all(isinstance(text, str) for text in [*lines, *(text for _, text in outputs)]), argv
+        funcs.add(args.func)
+    assert funcs == {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+
+
 def test_pow_coeff_split_roundtrip(tmp_path):
     x = Element(2, {"12": Fraction(1, 2), "77": 1, "41": Fraction(-2, 3)})
     path = tmp_path / "x.json"
@@ -388,6 +412,20 @@ def test_pow_and_coeff_refuse_past_the_digit_limit(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")
+@pytest.mark.parametrize(("args", "word"), [(["split", "-"], "12"), (["symmetry", "apply", "rot", "--element", "-"], "24")])
+def test_split_and_symmetry_refuse_past_the_digit_limit(args, word):
+    # 10**4300 has 4301 digits, 10**4299 has 4300; there is no option to lower
+    for exp, ok in ((4300, False), (4299, True)):
+        x = f'{{"order": 2, "terms": [{{"word": "12", "coeff": "1e{exp}"}}, {{"word": "71", "coeff": "2"}}]}}'
+        r = run_cli(*args, stdin=x, env=_DIGITS)
+        if ok:
+            assert r.returncode == 0 and r.stderr == "" and f'"{10**exp}"' in r.stdout
+        else:
+            assert r.returncode == 2 and r.stdout == ""
+            assert r.stderr == f"error: the coefficient of {word} has more than 4300 digits, the most Python prints\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")
 def test_seq_refuses_past_the_digit_limit(tmp_path):
     # a(m) = -100 a(m-1) + a(m-2) gains two digits per term
     fast = ("seq", "--preset", "fib", "--seed", "100,1,-1", "--word", "ij")
@@ -560,6 +598,10 @@ _NUMPY_FREE = [
     (["render", "3", "--labels", "--letters"], None),
     (["centralizer", "1247", "--svg", "-"], None),
     (["vanishing", "1212"], None),
+    (["symmetry", "apply", "rot", "--element", "-"], _SMALL_ELEMENT),
+    (["symmetry", "axis", "1", "--element", "-"], _SMALL_ELEMENT),
+    (["symmetry", "orbit", "1247", "--coords", "1,3"], None),
+    (["render", "3", "--highlight-axis", "1"], None),
     (["mul", "12x4", "1247"], None),
     (["mul", "124", "1247"], None),
     (["render", "9"], None),
@@ -570,12 +612,12 @@ _NUMPY_FREE = [
 def test_numpy_free_commands_never_import_numpy():
     blocked = _cli_child("block", _NUMPY_FREE)
     assert blocked == _cli_child("allow", _NUMPY_FREE)
-    assert [code for code, _ in blocked] == [0] * 13 + [2] * 4
+    assert [code for code, _ in blocked] == [0] * 17 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
     assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
     assert blocked[10][1].count("<text") == 64 and blocked[11][1].count(" highlight-") == 128
     assert blocked[12][1] == "true\n"
-    assert all(out for _, out in blocked[:13]) and not any(out for _, out in blocked[13:])
+    assert all(out for _, out in blocked[:17]) and not any(out for _, out in blocked[17:])
 
 
 def test_product_commands_import_numpy():
