@@ -37,6 +37,10 @@ least common denominator, that denominator) in its `_packed` slot, set by
 `_numerators` on first use or by the product that made it, so an operand
 used again, as in x * x or a power, is packed once.
 
+A product builds its terms eagerly; per term, Python pays only one gcd
+in `_fraction` (no `Fraction` constructor), the words coming from one
+split of `unpack_words`' decoded table.
+
 numpy and `floretion.packed` load on the first product in a process, not
 at import: `_numerators`, where every product starts, calls `_load`, which
 binds the module globals `np` and `packed` once.  Sums, differences,
@@ -233,7 +237,8 @@ class Element:
         g = gcd(den, s_1, ..., s_k).  That is what `_numerators` computes
         from the result's terms: each s_i / den reduces to a denominator
         den / gcd(den, s_i), whose lcm over i is den / g, and ascending keys
-        are the order in which the terms are built.
+        are the order in which the terms are built.  Each term is one
+        `_fraction` call: one gcd, no `Fraction` constructor.
 
         *Matrix path.*  Let m = n + n % 2 (an odd order runs as x (x) 7,
         an algebra map), X = max|num x| and Y = max|num y|.  It runs when
@@ -278,7 +283,7 @@ class Element:
         g = math.gcd(den, *nums)
         if g > 1:
             nums, den = [s // g for s in nums], den // g
-        z = Element._canonical(n, dict(zip(packed.unpack_words(keys, n), [Fraction(s, den) for s in nums])))
+        z = Element._canonical(n, dict(zip(packed.unpack_words(keys, n), [_fraction(s, den) for s in nums])))
         object.__setattr__(z, "_packed", (keys, nums, den))
         return z
 
@@ -355,6 +360,16 @@ def _numerators(x: Element) -> tuple[np.ndarray, list[int], int]:
     return x._packed
 
 
+def _fraction(p: int, q: int) -> Fraction:
+    """p / q as a reduced Fraction, for an int p and an int q > 0: one gcd,
+    then the two slots set as CPython 3.12+'s private
+    `Fraction._from_coprime_ints` does.  Tests pin `Fraction.__slots__`."""
+    g = math.gcd(p, q)
+    r = object.__new__(Fraction)
+    r._numerator, r._denominator = p // g, q // g
+    return r
+
+
 def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     """Coefficients of the canonical `word` in x**1 .. x**count, or None when
     the span of supp(x) times |x| exceeds `packed._BLOCK_PAIRS` (the caller
@@ -419,7 +434,7 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
                     a, coef = a.astype(object), coef.astype(object)
             a = (a[idx] * coef).sum(axis=1)
             top *= total
-        out.append(Fraction(int(a[t]), den**m))
+        out.append(_fraction(int(a[t]), den**m))
     return out
 
 
@@ -490,14 +505,13 @@ def _block_matrices() -> np.ndarray:
 
 def _to_matrix(keys: np.ndarray, nums: list[int], m: int) -> np.ndarray:
     """The 2**m x 2**m matrix of sum nums[i] * word(keys[i]) at even order m:
-    the Kronecker product of the block matrices, one tensordot per block."""
-    blocks = _block_matrices()
+    the Kronecker product of the block matrices, one matmul per block."""
+    blocks = _block_matrices().reshape(16, 16)
     t = np.zeros(4**m)
     t[keys.astype(np.intp)] = nums
-    t = t.reshape((16,) * (m // 2))  # axes: blocks, most significant first
-    for _ in range(m // 2):
-        t = np.tensordot(t, blocks, axes=(0, 0))  # block -> (row, column)
-    return t.transpose([*range(0, m, 2), *range(1, m, 2)]).reshape(2**m, 2**m)
+    for _ in range(m // 2):  # most significant block -> trailing (row, column)
+        t = t.reshape(16, -1).T @ blocks
+    return t.reshape((4,) * m).transpose([*range(0, m, 2), *range(1, m, 2)]).reshape(2**m, 2**m)
 
 
 def _from_matrix(z: np.ndarray, m: int) -> np.ndarray:
@@ -505,9 +519,9 @@ def _from_matrix(z: np.ndarray, m: int) -> np.ndarray:
     by packed key: the trace form tr(P_w^T z), since tr(P_u^T P_w) is 2**m
     when u = w and 0 otherwise.  The inverse of `_to_matrix`."""
     k, blocks = m // 2, _block_matrices().reshape(16, 16)
-    t = z.reshape((4,) * m).transpose([a for j in range(k) for a in (j, k + j)]).reshape((16,) * k)
+    t = z.reshape((4,) * m).transpose([a for j in range(k) for a in (j, k + j)])
     for _ in range(k):
-        t = np.tensordot(t, blocks, axes=(0, 1))  # (row, column) -> block
+        t = t.reshape(16, -1).T @ blocks.T  # (row, column) -> block
     return t.reshape(-1)
 
 

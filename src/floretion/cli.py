@@ -142,7 +142,9 @@ def _cmd_mul(args) -> tuple:
 
 def _cmd_pow(args) -> tuple:
     _check_cap(args.power, "-m/--power")
-    p = _load_element(args.element) ** args.power
+    x = _load_element(args.element)
+    _check_coeffs(x, None)  # no exponent fixes an input past the limit
+    p = x**args.power
     _check_coeffs(p, "-m/--power")
     return [element_to_json(p)], []
 
@@ -150,6 +152,8 @@ def _cmd_pow(args) -> tuple:
 def _cmd_coeff(args) -> tuple:
     _check_cap(args.power, "-m/--power")
     x = _load_element(args.element)
+    if not args.float:
+        _check_coeffs(x, None)
     q = (x**args.power).coeff(args.word)
     if not args.float:
         _check_printable([q], "-m/--power", lambda i: f"the coefficient of {args.word}")

@@ -93,13 +93,15 @@ def pack_words(words: Sequence[str], n: int) -> np.ndarray:
 def unpack_words(packed, n: int) -> list[str]:
     """Unpack an array of order-n lane integers to digit words, in order.
 
-    Builds one (N, n) table of ASCII digits and decodes it once, so the
-    cost per word is one string slice.  Raises ValueError like `unpack_word`.
+    Builds one (N, n + 1) table of ASCII digits, each row ending in a
+    space, decodes it once and splits it on the spaces, so no Python code
+    runs per word.  Raises ValueError like `unpack_word`.
     """
     arr = _packed_words(n, packed)[0].reshape(-1)
     shifts = np.arange(0, _LANE_WIDTH * n, _LANE_WIDTH, dtype=np.uint64)
-    text = _CODE_BYTES[(arr[:, None] >> shifts) & np.uint64(3)].tobytes().decode("ascii")
-    return [text[i : i + n] for i in range(0, len(text), n)]
+    table = np.full((arr.size, n + 1), ord(" "), dtype=np.uint8)
+    table[:, :n] = _CODE_BYTES[(arr[:, None] >> shifts) & np.uint64(3)]
+    return table.tobytes().decode("ascii").split()
 
 
 def packed_identity(n: int) -> int:

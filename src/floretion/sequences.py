@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Sequence
 
-from .algebra import Element, _power_coeffs
+from .algebra import Element, _fraction, _power_coeffs
 from .words import _non_integer, parse_word
 
 
@@ -119,7 +119,7 @@ class Recurrence:
         out = []
         for _ in range(count):
             lcd = math.lcm(*(dens[-i] for i, _ in rule))
-            v = Fraction(sum(p * nums[-i] * (lcd // dens[-i]) for i, p in rule), lcd * q)
+            v = _fraction(sum(p * nums[-i] * (lcd // dens[-i]) for i, p in rule), lcd * q)
             out.append(v)
             if until and until(v):
                 break

@@ -159,7 +159,30 @@ def _assert_mul_exact(x, y):
     z = x * y
     assert z == reference_mul(x, y)
     assert all(type(q) is Fraction and q != 0 for q in z.terms.values())
+    # built by `algebra._fraction`, so reduced here rather than by the constructor
+    assert all(
+        type(q.numerator) is int and q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+        for q in z.terms.values()
+    )
     assert list(z.terms) == sorted(z.terms, key=pack_word)
+
+
+def test_fraction_builder_matches_the_constructor():
+    # the builder sets Fraction's two slots directly; a Python that changes
+    # that layout fails here instead of building wrong values
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(2026)
+    big = 2**200
+    ps = [0, 1, -1, big, -big, big - 1, 1 - big] + [rng.randint(-big, big) for _ in range(40)]
+    ps += [rng.randint(-99, 99) for _ in range(40)]
+    qs = [1, 2, 3, 7, 2**61 - 1, 2**64, 2**200, 6 * 10**30] + [rng.randint(1, big) for _ in range(20)]
+    for p in ps:
+        for q in qs + [abs(p) or 1, 4 * (abs(p) or 1)]:
+            r, ref = algebra._fraction(p, q), Fraction(p, q)
+            assert type(r) is Fraction and type(r.numerator) is int and type(r.denominator) is int
+            assert (r, hash(r), str(r), r.numerator, r.denominator) == (
+                ref, hash(ref), str(ref), ref.numerator, ref.denominator
+            )
 
 
 #: Denominators with no common factor, so the common denominators differ per side.

@@ -409,6 +409,14 @@ def test_pow_and_coeff_refuse_past_the_digit_limit(tmp_path):
                 )
     r = run_cli("coeff", str(path), "7", "-m", "100", "--float", env=_DIGITS)
     assert r.returncode == 0 and float(r.stdout) == 0.0
+    # an input coefficient past the limit names no option: no exponent fixes it
+    x = '{"order": 2, "terms": [{"word": "12", "coeff": "1e4300"}]}'
+    for args in (("pow", "-", "-m", "1"), ("coeff", "-", "12", "-m", "1")):
+        r = run_cli(*args, stdin=x, env=_DIGITS)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: the coefficient of 12 has more than 4300 digits, the most Python prints\n"
+    r = run_cli("coeff", "-", "12", "-m", "1", "--float", stdin=x.replace("1e4300", "1e-4300"), env=_DIGITS)
+    assert r.returncode == 0 and float(r.stdout) == 0.0
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text limit")

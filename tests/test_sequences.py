@@ -1,6 +1,7 @@
 """Coefficient streams, exact recurrence detection, packaged constructions."""
 
 import io
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -202,10 +203,19 @@ def _extend_cases(rng):
 
 def test_recurrence_extend_matches_reference_extend():
     rng = random.Random(20261021)
+    zeros = 0
     for rec, seed, count in _extend_cases(rng):
         out = rec.extend(seed, count)
         assert out == reference_extend(rec, seed, count), (rec, seed, count)
-        assert all(type(v) is F for v in out)
+        # built by `algebra._fraction`: reduced with a positive denominator,
+        # so a zero term reads 0/1
+        assert all(
+            type(v) is F and type(v.numerator) is int and v.denominator > 0
+            and math.gcd(v.numerator, v.denominator) == 1
+            for v in out
+        )
+        zeros += out.count(0)
+    assert zeros > 0
     # long growing denominators really grew
     assert max(v.denominator for v in out).bit_length() > 500
 
