@@ -33,9 +33,10 @@ is sparse: `_power_coeffs` steps one integer vector over the words supp(x)
 generates, right multiplication by x being one signed gather there.
 
 An Element caches its integer form (packed keys, numerators over their
-least common denominator, that denominator) in its `_packed` slot, set by
-`_numerators` on first use or by the product that made it, so an operand
-used again, as in x * x or a power, is packed once.
+least common denominator, that denominator, the largest |numerator|) in
+its `_packed` slot, set by `_numerators` on first use or by the product
+that made it, so an operand used again, as in x * x or a power, is packed
+once.
 
 A product builds its terms eagerly; per term, Python pays only one gcd
 in `_fraction` (no `Fraction` constructor), the words coming from one
@@ -234,7 +235,8 @@ class Element:
         each (`_numerators`, cached on the operand); two paths sum their
         signed products per product word.  The result caches its own form:
         the nonzero sums s_i over den = xden * yden, divided by
-        g = gcd(den, s_1, ..., s_k).  That is what `_numerators` computes
+        g = gcd(den, s_1, ..., s_k), its largest |s_i| / g read off the
+        sums array.  That is what `_numerators` computes
         from the result's terms: each s_i / den reduces to a denominator
         den / gcd(den, s_i), whose lcm over i is den / g, and ascending keys
         are the order in which the terms are built.  Each term is one
@@ -270,21 +272,22 @@ class Element:
         n = self.order
         if not (self.terms and other.terms):
             return Element.zero(n)
-        xs, xnum, xden = _numerators(self)
-        ys, ynum, yden = _numerators(other)
-        top = max(map(abs, xnum)) * max(map(abs, ynum))
+        xs, xnum, xden, xtop = _numerators(self)
+        ys, ynum, yden, ytop = _numerators(other)
+        top = xtop * ytop
         m = n + n % 2
         if m in _MATRIX_ORDERS and len(xs) * len(ys) >= _MATRIX_PAIRS_PER_ENTRY * 4**m and 16**m * top < _FLOAT64_EXACT:
             keys, sums = np.arange(4**n, dtype=np.uint64), _matrix_sums(xs, xnum, ys, ynum, n)
         else:
             keys, sums = _packed_sums(xs, xnum, ys, ynum, n, top)
         nonzero = sums != 0
-        keys, nums, den = keys[nonzero], sums[nonzero].tolist(), xden * yden
+        sums, keys, den = sums[nonzero], keys[nonzero], xden * yden
+        top, nums = int(np.abs(sums).max(initial=0)), sums.tolist()
         g = math.gcd(den, *nums)
         if g > 1:
-            nums, den = [s // g for s in nums], den // g
+            nums, den, top = [s // g for s in nums], den // g, top // g
         z = Element._canonical(n, dict(zip(packed.unpack_words(keys, n), [_fraction(s, den) for s in nums])))
-        object.__setattr__(z, "_packed", (keys, nums, den))
+        object.__setattr__(z, "_packed", (keys, nums, den, top))
         return z
 
     def __pow__(self, m: int) -> "Element":
@@ -344,9 +347,10 @@ def _load() -> None:
         from . import packed
 
 
-def _numerators(x: Element) -> tuple[np.ndarray, list[int], int]:
+def _numerators(x: Element) -> tuple[np.ndarray, list[int], int, int]:
     """x's packed words, its integer numerators over their least common
-    denominator, and that denominator, all in the order of `x.terms`.
+    denominator, that denominator, all in the order of `x.terms`, and the
+    largest |numerator|, which bounds the sums of every product.
     Every product starts here, so this is where numpy loads.  Built once
     per Element, whose terms never change, and kept in its `_packed` slot;
     `Element.__mul__` sets its result's slot to the same value."""
@@ -356,7 +360,8 @@ def _numerators(x: Element) -> tuple[np.ndarray, list[int], int]:
         keys = packed.pack_words(list(x.terms), x.order)
         pairs = [q.as_integer_ratio() for q in x.terms.values()]
         den = math.lcm(*(d for _, d in pairs))
-        object.__setattr__(x, "_packed", (keys, [p * (den // d) for p, d in pairs], den))
+        nums = [p * (den // d) for p, d in pairs]
+        object.__setattr__(x, "_packed", (keys, nums, den, max(map(abs, nums), default=0)))
     return x._packed
 
 
@@ -400,7 +405,7 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     n = x.order
     if not x.terms:
         return [Fraction(0)] * count
-    xs, xnum, den = _numerators(x)
+    xs, xnum, den, top = _numerators(x)
     full = packed.packed_identity(n)
     rs = [key ^ full for key in xs.tolist()]
     # the span in number order: a new word r puts u ^ r at number(u) | size
@@ -423,8 +428,7 @@ def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     dtype = np.int64 if total < _INT64_LIMIT else object
     coef = signs * np.array(xnum, dtype=dtype)
     a = np.zeros(len(span), dtype=dtype)
-    a[cols] = xnum
-    top = max(map(abs, xnum))  # top >= max|a|
+    a[cols] = xnum  # top >= max|a|
     out = []
     for m in range(1, count + 1):
         if m > 1:

@@ -18,7 +18,11 @@ Both the product sign and commutation are products of per-digit factors,
 so counting and listing run one four-state transfer over positions: a
 2-bit state (bit 0 the anticommuting parity, bit 1 a minus sign so far)
 takes each digit's XOR mask (`_masks`); counts carry an integer per state
-and listings the word prefixes.  `check_vanishing` diagonalizes the pair
+and listings one text per state, each word in it followed by a space, so
+appending a digit to every word is one `str.replace`.  The state is an XOR
+of per-digit masks, so positions may go in either direction: canonical
+tiles append left to right, and the CLI's sorted listing prepends right to
+left in the spelling's rank order.  `check_vanishing` diagonalizes the pair
 transfer by Walsh-Hadamard characters, so a product's sum of squared
 coefficients is an entrywise product of 256-entry tables, exact at any order.
 """
@@ -32,13 +36,13 @@ from functools import cache
 from math import prod
 
 from .algebra import Element
-from .words import DIGITS, identity_word, local_mul, noncentral_count, parse_word, word_mul
+from .words import DIGIT_CODE, DIGITS, format_word, identity_word, local_mul, noncentral_count, parse_word, word_mul
 
 #: Tile listings are capped here.  An order-n word has 4**n / 2 tiles and
-#: the identity word all 4**n: at order 12 that is 16.8M tiles, 3.8 s and a
-#: 1.5 GB peak in process on a 2-vCPU x86-64 host (8.4M tiles, 2.7 s and
-#: 903 MB for any other word), the largest listing this package signs up
-#: for.  Counts have no cap.
+#: the identity word all 4**n: at order 12 that is 16.8M tiles, 2.7 s and a
+#: 1.4 GB peak for `centralizer_tiles` in process on a 2-vCPU x86-64 host
+#: (8.4M tiles, 1.4 s and 714 MB for any other word), the largest listing
+#: this package signs up for.  Counts have no cap.
 SCAN_MAX_ORDER = 12
 
 
@@ -73,14 +77,16 @@ def _masks(b: str) -> list[int]:
     return [(local_mul(d, b)[0] != local_mul(b, d)[0]) | (local_mul(d, b)[0] < 0) << 1 for d in DIGITS]
 
 
-def _transfer(word: str, start, append):
-    """The four-state transfer over a canonical word's positions: digit d maps a
-    state's value v to `append(v, d)`, from `start` at state 0, and values meeting
-    in a state sum by `+=`.  Returns the values at states 0 (plus) and 2 (minus)."""
+def _transfer(word: str, start, append, digits: str = DIGITS):
+    """The four-state transfer over a word's positions, in any order: digit d,
+    taken in the order of `digits`, maps a state's value v to `append(v, d)`,
+    from `start` at state 0, and values meeting in a state sum by `+=`.
+    Returns the values at states 0 (plus) and 2 (minus)."""
     n, states = len(word), {0: start}
     for r, b in enumerate(word, 1):
-        nxt = defaultdict(type(start))
-        for d, m in zip(DIGITS, _masks(b)):
+        nxt, masks = defaultdict(type(start)), _masks(b)
+        for d in digits:
+            m = masks[DIGIT_CODE[d]]
             for s, v in states.items():
                 if r < n or not (s ^ m) & 1:
                     nxt[s ^ m] += append(v, d)
@@ -93,22 +99,38 @@ def centralizer_counts(word: str) -> tuple[int, int]:
     return _transfer(parse_word(word), 1, lambda k, d: k)
 
 
-# Keep the name: perfbench/tracer.py wraps `_scan_masks` in every traced run.
-def _scan_masks(word: str) -> tuple[list[str], list[str]]:
-    """Plus and minus tile lists of a canonical word, in canonical order.
-
-    Digits go in code order outside the states, and position r is the most
-    significant lane so far, so every list stays in ascending packed order.
-    """
+def _listable(word: str) -> str:
+    """`word`, or ValueError past `SCAN_MAX_ORDER`."""
     if len(word) > SCAN_MAX_ORDER:
         raise ValueError(f"tile listing supports order <= {SCAN_MAX_ORDER}; got {len(word)}")
-    return _transfer(word, [""], lambda ps, d: [p + d for p in ps])
+    return word
+
+
+# Keep the name: perfbench/tracer.py wraps `_scan_masks` in every traced run.
+def _scan_masks(word: str) -> tuple[str, str]:
+    """Plus and minus tiles of a canonical word, in canonical order, as two
+    texts with a space after each word.
+
+    Digits go in code order outside the states, and position r is the most
+    significant lane so far, so every text stays in ascending packed order.
+    """
+    return _transfer(_listable(word), " ", lambda t, d: t.replace(" ", d + " "))
+
+
+def _sorted_listing(word: str, letters: bool = False) -> tuple[str, str]:
+    """Plus and minus tiles of a canonical word as two texts with a space
+    before each word, spelled in letters on request, sorted as strings with
+    no sort: positions go right to left, prepending digits in the spelling's
+    rank order (1247, or 7124 as e < i < j < k)."""
+    texts = _transfer(_listable(word)[::-1], " ", lambda t, d: t.replace(" ", " " + d), "7124" if letters else DIGITS)
+    return format_word(texts[0], letters), format_word(texts[1], letters)
 
 
 def centralizer_tiles(word: str) -> CentralizerTiles:
     """Full tile-set enumeration, split by the sign of the common product."""
     w = parse_word(word)
     plus, minus = _scan_masks(w)
+    plus, minus = plus.split(), minus.split()  # the texts go before the tuples are built
     return CentralizerTiles(base=w, plus=tuple(plus), minus=tuple(minus))
 
 

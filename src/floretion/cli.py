@@ -17,7 +17,7 @@ from functools import cache
 
 from . import __version__
 from .algebra import Element, element_from_json, element_to_dict, element_to_json
-from .centralizer import SCAN_MAX_ORDER, centralizer_counts, centralizer_tiles, check_vanishing
+from .centralizer import SCAN_MAX_ORDER, _sorted_listing, centralizer_counts, centralizer_tiles, check_vanishing
 from .geometry import centroid
 from .render import _check_limits, render_tiling
 from .sequences import (
@@ -208,22 +208,20 @@ def _cmd_render(args) -> tuple:
 
 def _cmd_centralizer(args) -> tuple:
     w = parse_word(args.word)
-    if args.svg is not None:
-        _check_limits(len(w), args.r0)
-    if args.count_only and args.svg is None:
-        counts, parts = centralizer_counts(w), ((), ())
-    else:
-        t = centralizer_tiles(w)
-        counts, parts = (len(t.plus), len(t.minus)), (t.plus, t.minus)
     outputs = []
     if args.svg is not None:
+        _check_limits(len(w), args.r0)
+        t = centralizer_tiles(w)
         extra = {c: "highlight-plus" for c in t.plus}
         extra.update({c: "highlight-minus" for c in t.minus})
         outputs.append((args.svg, render_tiling(len(w), args.r0, extra_classes=extra)))
-    lines = []
-    for label, count, part in zip(("plus", "minus"), counts, parts):
-        listing = "" if args.count_only else ": " + " ".join(sorted(format_word(" ".join(part), args.letters).split()))
-        lines.append(f"{label} {count}{listing}")
+    if args.count_only:
+        counts = centralizer_counts(w)
+        lines = [f"{label} {count}" for label, count in zip(("plus", "minus"), counts)]
+    else:
+        texts = _sorted_listing(w, args.letters)
+        counts = [text.count(" ") for text in texts]
+        lines = [f"{label} {count}: {text[1:]}" for label, count, text in zip(("plus", "minus"), counts, texts)]
     lines.append(f"total {sum(counts)}")
     return lines, outputs
 

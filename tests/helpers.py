@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from floretion.algebra import Element
-from floretion.centralizer import sigma_sums
+from floretion.centralizer import _transfer, sigma_sums
 from floretion.geometry import DEFAULT_R0, centroid, is_upward, tile_polygon
 from floretion.render import _STYLE, _check_limits, _fmt
 from floretion.sequences import Recurrence
@@ -76,6 +76,22 @@ def reference_mul(x: Element, y: Element) -> Element:
             s, pw = word_mul(bw, cw)
             out[pw] = out.get(pw, 0) + (q * r if s > 0 else -q * r)
     return Element(x.order, out)
+
+
+def reference_scan(word: str) -> tuple[list[str], list[str]]:
+    """Plus and minus tile lists of a canonical word in canonical order, by
+    the list-based transfer: each state carries its word prefixes as a list
+    and every prefix is extended by its own string concatenation."""
+    return _transfer(word, [""], lambda ps, d: [p + d for p in ps])
+
+
+def reference_listing(word: str, letters: bool = False) -> str:
+    """The `centralizer` CLI's stdout for a listing, formatted by sorting
+    the spelled words of each `reference_scan` part."""
+    parts = reference_scan(parse_word(word))
+    lines = [f"{label} {len(part)}: " + " ".join(sorted(format_word(" ".join(part), letters).split()))
+             for label, part in zip(("plus", "minus"), parts)]
+    return "".join(f"{line}\n" for line in lines) + f"total {sum(map(len, parts))}\n"
 
 
 def reference_square_sums(word: str) -> list[int]:

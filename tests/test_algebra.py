@@ -262,7 +262,7 @@ def _matrix_mul(x, y):
     """x * y through the matrix path's numerator sums alone, whatever the
     dispatch rule of `Element.__mul__` would choose."""
     n = x.order
-    (xs, xnum, xden), (ys, ynum, yden) = algebra._numerators(x), algebra._numerators(y)
+    (xs, xnum, xden, _), (ys, ynum, yden, _) = algebra._numerators(x), algebra._numerators(y)
     sums = algebra._matrix_sums(xs, xnum, ys, ynum, n)
     words = [unpack_word(v, n) for v in range(4**n)]
     return Element(n, zip(words, (Fraction(s, xden * yden) for s in sums.tolist())))
@@ -435,10 +435,11 @@ def test_pow_products(m, products, monkeypatch):
 def _assert_cached_form(z):
     """z's cached packed form equals the form computed from its terms alone."""
     assert z._packed is not None
-    keys, nums, den = z._packed
-    fresh_keys, fresh_nums, fresh_den = algebra._numerators(Element._canonical(z.order, z.terms))
+    keys, nums, den, top = z._packed
+    fresh_keys, fresh_nums, fresh_den, fresh_top = algebra._numerators(Element._canonical(z.order, z.terms))
     assert keys.dtype == fresh_keys.dtype and keys.tolist() == fresh_keys.tolist()
-    assert (nums, den) == (fresh_nums, fresh_den)
+    assert (nums, den, top) == (fresh_nums, fresh_den, fresh_top)
+    assert type(top) is int and top == max(map(abs, nums), default=0)
 
 
 def test_packed_cache_equals_recomputation(monkeypatch):

@@ -27,7 +27,7 @@ from floretion.words import (
     signed_word_mul,
     word_mul,
 )
-from helpers import random_word, reference_square_sums, reference_vanishing
+from helpers import random_word, reference_scan, reference_square_sums, reference_vanishing
 
 
 def brute_force_tiles(b: str) -> tuple[list[str], list[str]]:
@@ -91,6 +91,26 @@ def test_tiles_match_brute_force():
         t = centralizer_tiles(b)
         assert list(t.plus) == plus
         assert list(t.minus) == minus
+
+
+def test_scan_texts_match_reference_scan():
+    # one text per state, each word followed by a space, split into the
+    # canonical lists that the list-based transfer builds
+    words = [b for n in (1, 2, 3, 4) for b in all_words(n)]
+    words += random_words(66, (5, 6, 7, 8), 3) + [identity_word(n) for n in (5, 6, 7, 8)]
+    for b in words:
+        plus, minus = reference_scan(b)
+        assert centralizer._scan_masks(b) == ("".join(w + " " for w in plus), "".join(w + " " for w in minus))
+        t = centralizer_tiles(b)
+        assert (t.plus, t.minus) == (tuple(plus), tuple(minus))
+
+
+def test_sorted_listing_in_either_spelling():
+    # digits rank 1 < 2 < 4 < 7 and letters e < i < j < k, so 7 leads in letters
+    assert centralizer._sorted_listing("77") == (" 11 12 14 17 21 22 24 27 41 42 44 47 71 72 74 77", "")
+    assert centralizer._sorted_listing("11", letters=True) == (" ee ii jj kk", " ei ie jk kj")
+    with pytest.raises(ValueError, match=f"order <= {SCAN_MAX_ORDER}; got {SCAN_MAX_ORDER + 1}"):
+        centralizer._sorted_listing("1" * (SCAN_MAX_ORDER + 1))
 
 
 def test_tiles_canonical_order_and_membership():

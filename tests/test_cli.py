@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via subprocess."""
 
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import floretion
 from floretion import cli
 from floretion.algebra import Element, element_from_json, element_to_json
 from floretion.sequences import coeff_stream, fibonacci_elements, find_recurrence, padovan_elements
-from helpers import random_element, random_word
+from helpers import random_element, random_word, reference_listing
 
 # the child runs the same package the tests import, installed or not
 _SRC = str(Path(floretion.__file__).resolve().parent.parent)
@@ -261,6 +262,20 @@ def test_centralizer():
     # counts have no order cap
     r = run_cli("centralizer", "1" + "7" * 19, "--count-only")
     assert r.stdout.splitlines() == ["plus 274877906944", "minus 274877906944", "total 549755813888"]
+
+
+def test_centralizer_listing_matches_sorted_reference(capsys):
+    # printed in the spelling's sorted order without a sort, empty parts as "minus 0: "
+    rng = random.Random(68)
+    words = ["".join(p) for n in range(1, 5) for p in itertools.product("1247", repeat=n)]
+    words += [random_word(rng, n) for n in range(5, 9) for _ in range(3)] + ["77777", "77777777"]
+    for w in words:
+        for letters in ([], ["--letters"]):
+            assert cli.main(["centralizer", w, *letters]) == 0
+            out, err = capsys.readouterr()
+            assert out == reference_listing(w, bool(letters)) and err == ""
+    assert cli.main(["centralizer", "eee"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "minus 0: "
 
 
 def test_centralizer_svg(tmp_path):
@@ -610,6 +625,7 @@ _NUMPY_FREE = [
     (["symmetry", "axis", "1", "--element", "-"], _SMALL_ELEMENT),
     (["symmetry", "orbit", "1247", "--coords", "1,3"], None),
     (["render", "3", "--highlight-axis", "1"], None),
+    (["centralizer", "1247", "--letters"], None),
     (["mul", "12x4", "1247"], None),
     (["mul", "124", "1247"], None),
     (["render", "9"], None),
@@ -620,12 +636,12 @@ _NUMPY_FREE = [
 def test_numpy_free_commands_never_import_numpy():
     blocked = _cli_child("block", _NUMPY_FREE)
     assert blocked == _cli_child("allow", _NUMPY_FREE)
-    assert [code for code, _ in blocked] == [0] * 17 + [2] * 4
+    assert [code for code, _ in blocked] == [0] * 18 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
     assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
     assert blocked[10][1].count("<text") == 64 and blocked[11][1].count(" highlight-") == 128
-    assert blocked[12][1] == "true\n"
-    assert all(out for _, out in blocked[:17]) and not any(out for _, out in blocked[17:])
+    assert blocked[12][1] == "true\n" and blocked[17][1] == reference_listing("1247", letters=True)
+    assert all(out for _, out in blocked[:18]) and not any(out for _, out in blocked[18:])
 
 
 def test_product_commands_import_numpy():
