@@ -38,9 +38,11 @@ its `_packed` slot, set by `_numerators` on first use or by the product
 that made it, so an operand used again, as in x * x or a power, is packed
 once.
 
-A product builds its terms eagerly; per term, Python pays only one gcd
-in `_fraction` (no `Fraction` constructor), the words coming from one
-split of `unpack_words`' decoded table.
+A product builds its terms eagerly and in bulk: one `np.gcd` reduces
+every sum over the common denominator, `_fractions` sets the reduced
+`Fraction`s' slots in one loop, and up to order 7 the words come from the
+cached `_word_table`.  The JSON writer formats its text directly, and the
+reader takes plain "p/q" coefficients through `int`, not `Fraction`'s parser.
 
 numpy and `floretion.packed` load on the first product in a process, not
 at import: `_numerators`, where every product starts, calls `_load`, which
@@ -61,9 +63,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterable, Mapping
 
 from .words import (
@@ -239,8 +242,9 @@ class Element:
         sums array.  That is what `_numerators` computes
         from the result's terms: each s_i / den reduces to a denominator
         den / gcd(den, s_i), whose lcm over i is den / g, and ascending keys
-        are the order in which the terms are built.  Each term is one
-        `_fraction` call: one gcd, no `Fraction` constructor.
+        are the order in which the terms are built.  All terms reduce at
+        once in numpy, gcd(s_i, den) by one `np.gcd` (in Python ints when
+        den needs more than 63 bits), and `_fractions` sets their slots.
 
         *Matrix path.*  Let m = n + n % 2 (an odd order runs as x (x) 7,
         an algebra map), X = max|num x| and Y = max|num y|.  It runs when
@@ -282,12 +286,15 @@ class Element:
             keys, sums = _packed_sums(xs, xnum, ys, ynum, n, top)
         nonzero = sums != 0
         sums, keys, den = sums[nonzero], keys[nonzero], xden * yden
-        top, nums = int(np.abs(sums).max(initial=0)), sums.tolist()
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums, den, top = [s // g for s in nums], den // g, top // g
-        z = Element._canonical(n, dict(zip(packed.unpack_words(keys, n), [_fraction(s, den) for s in nums])))
-        object.__setattr__(z, "_packed", (keys, nums, den, top))
+        if den.bit_length() > 63:  # numpy raises OverflowError on such an int next to int64
+            sums = sums.astype(object)
+        gs = np.gcd(sums, den)  # object dtype calls math.gcd
+        g = int(np.gcd.reduce(gs, initial=den))
+        # up to order 7 both paths return every key, nonzero or not
+        words = compress(_word_table(n), nonzero.tolist()) if 4**n <= packed._BLOCK_PAIRS else packed.unpack_words(keys, n)
+        z = Element._canonical(n, dict(zip(words, _fractions((sums // gs).tolist(), (den // gs).tolist()))))
+        top = int(np.abs(sums).max(initial=0)) // g
+        object.__setattr__(z, "_packed", (keys, (sums // g).tolist(), den // g, top))
         return z
 
     def __pow__(self, m: int) -> "Element":
@@ -365,14 +372,33 @@ def _numerators(x: Element) -> tuple[np.ndarray, list[int], int, int]:
     return x._packed
 
 
+def _fractions(ps: list[int], qs: list[int]) -> list[Fraction]:
+    """Fractions p / q for coprime pairs of an int p and an int q > 0, the two
+    slots set in one loop as CPython 3.12+'s private `Fraction._from_coprime_ints`
+    does.  Tests pin `Fraction.__slots__`."""
+    out = []
+    for p, q in zip(ps, qs):
+        r = object.__new__(Fraction)
+        r._numerator, r._denominator = p, q
+        out.append(r)
+    return out
+
+
 def _fraction(p: int, q: int) -> Fraction:
     """p / q as a reduced Fraction, for an int p and an int q > 0: one gcd,
-    then the two slots set as CPython 3.12+'s private
-    `Fraction._from_coprime_ints` does.  Tests pin `Fraction.__slots__`."""
+    then the slots set as in `_fractions` (inlined, since `Recurrence.extend`
+    calls this once per term)."""
     g = math.gcd(p, q)
     r = object.__new__(Fraction)
     r._numerator, r._denominator = p // g, q // g
     return r
+
+
+@cache
+def _word_table(n: int) -> list[str]:
+    """All 4**n order-n words, indexed by packed key: built on the first
+    product at order n and kept (about 1.1 MB at order 7)."""
+    return packed.unpack_words(np.arange(4**n, dtype=np.uint64), n)
 
 
 def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
@@ -536,17 +562,19 @@ def _matrix_sums(xs: np.ndarray, xnum: list[int], ys: np.ndarray, ynum: list[int
     and the product is read back from the words whose top lane is 3.
 
     Exact only while 16**m * max|xnum| * max|ynum| < 2**53, which the caller
-    checks (`Element.__mul__` derives the bound).  Raises ArithmeticError if
-    a decoded sum is not a multiple of 2**m, or a padded product has a term
-    outside the top-lane-3 words.
+    checks (`Element.__mul__` derives the bound).  Under it every decoded
+    sum is an integer-valued float64 below 2**53, so its int64 cast is
+    exact and the checks run on integers: raises ArithmeticError if a sum
+    has a low bit set below bit m (it is not a multiple of 2**m), or a
+    padded product has a term outside the top-lane-3 words.
     """
     m = n + n % 2
     pad = np.uint64(3 << 2 * n if n % 2 else 0)
-    sums = _from_matrix(_to_matrix(xs | pad, xnum, m) @ _to_matrix(ys | pad, ynum, m), m)
+    sums = _from_matrix(_to_matrix(xs | pad, xnum, m) @ _to_matrix(ys | pad, ynum, m), m).astype(np.int64)
     head = 4**m - 4**n  # words whose top lane is not 3, at odd n; none at even n
-    if np.fmod(sums, 2.0**m).any() or sums[:head].any():
+    if (sums & (2**m - 1)).any() or sums[:head].any():
         raise ArithmeticError(f"inexact matrix product at order {n}")
-    return (sums[head:] / 2**m).astype(np.int64)
+    return sums[head:] >> m
 
 
 def sierpinski_support(n: int) -> Element:
@@ -560,6 +588,10 @@ def sierpinski_support(n: int) -> Element:
 
 
 # -- serialization --------------------------------------------------------------
+
+
+#: A coefficient text that `int` reads as written: "-?[0-9]+(/[0-9]+)?".
+_PLAIN_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def element_to_dict(x: Element) -> dict:
@@ -584,16 +616,24 @@ def _json_term(entry) -> tuple[str, Fraction]:
     pulls entries one at a time, so the first faulty entry is the one reported."""
     if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
         raise ValueError(f'term entries need "word" and "coeff": {entry!r}')
+    text = str(entry["coeff"])
     try:
-        q = Fraction(str(entry["coeff"]))
+        # plain text with a nonzero denominator skips the Fraction parser;
+        # `int` raises ValueError past 4300 digits, as that parser does
+        m = _PLAIN_COEFF.fullmatch(text)
+        q = _fraction(int(m[1]), d) if m and (d := int(m[2] or 1)) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid coefficient {entry['coeff']!r}: {exc}") from None
     return str(entry["word"]), q
 
 
 def element_to_json(x: Element) -> str:
-    """Canonical JSON text: terms sorted by packed word value, exact coefficients."""
-    return json.dumps(element_to_dict(x))
+    """Canonical JSON text: terms sorted by packed word value, exact coefficients.
+    The text is `json.dumps(element_to_dict(x))`, formatted directly: words are
+    digits and coefficients `str(Fraction)`, so nothing needs escaping."""
+    t = x.terms
+    terms = ", ".join(['{"word": "%s", "coeff": "%s"}' % (w, t[w]) for w in x.support()])
+    return '{"order": %d, "terms": [%s]}' % (x.order, terms)
 
 
 def element_from_json(text: str) -> Element:

@@ -134,8 +134,10 @@ def apply_perm_word(pi: Perm, word: str) -> str:
 
 
 def apply_perm_element(pi: Perm, x: Element) -> Element:
-    """Linear extension of the digitwise action to an element."""
-    return x.map_basis(lambda w: apply_perm_word(pi, w))
+    """Linear extension of the digitwise action to an element.  The action
+    maps canonical words one to one onto canonical words, so the terms are
+    relabelled without the constructor's parse and sum."""
+    return Element._canonical(x.order, {w.translate(pi._table): q for w, q in x.terms.items()})
 
 
 def is_axis_symmetric(x: Element, axis: str) -> bool:

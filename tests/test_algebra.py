@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -15,6 +16,7 @@ from floretion import algebra
 from floretion.algebra import (
     Element,
     element_from_json,
+    element_to_dict,
     element_to_json,
     exp_truncated,
     format_element,
@@ -183,6 +185,12 @@ def test_fraction_builder_matches_the_constructor():
             assert (r, hash(r), str(r), r.numerator, r.denominator) == (
                 ref, hash(ref), str(ref), ref.numerator, ref.denominator
             )
+    # the bulk builder takes the reduced pairs
+    refs = [Fraction(p, q) for p in ps for q in qs]
+    built = algebra._fractions([r.numerator for r in refs], [r.denominator for r in refs])
+    assert all(type(r) is Fraction and type(r.numerator) is int and type(r.denominator) is int for r in built)
+    assert [(r, hash(r), str(r)) for r in built] == [(r, hash(r), str(r)) for r in refs]
+    assert algebra._fractions([], []) == []
 
 
 #: Denominators with no common factor, so the common denominators differ per side.
@@ -246,6 +254,46 @@ def test_mul_exact_across_int64_limit():
             y = Element(n, {random_word(rng, n): F(-(2**40) + rng.randint(-99, 99), rng.choice(_MIXED)) for _ in range(12)})
             _assert_mul_exact(x, y)
             _assert_mul_exact(x, x)
+
+
+def test_mul_exact_over_denominators_past_int64(monkeypatch):
+    # den = xden * yden >= 2**63 while the numerator sums fit int64: the sums
+    # reduce in Python ints, on both paths; numerators near 2**40 make
+    # object-dtype sums, over small and large denominators
+    calls = _count_matrix_calls(monkeypatch)
+    rng = random.Random(63)
+    primes = (2**32 - 5, 2**32 + 15, 2**33 + 17)
+    # 64 x 64 terms take the matrix path at orders 3 and 4, 256 x 256 at order 5
+    for n, k in ((2, 16), (3, 64), (4, 64), (5, 256)):
+        x = Element(n, {unpack_word(v, n): F(rng.randint(-9, 9) or 1, primes[0]) for v in rng.sample(range(4**n), k)})
+        y = Element(n, {unpack_word(v, n): F(rng.randint(-9, 9) or 1, primes[1]) for v in rng.sample(range(4**n), k)})
+        (_, _, xden, _), (_, _, yden, _) = algebra._numerators(x), algebra._numerators(y)
+        assert xden * yden >= 2**63
+        del calls[:]
+        for a, b in ((x, y), (y, x), (x, x), (random_element(rng, n), y))[: 1 if n == 5 else 4]:
+            _assert_mul_exact(a, b)
+            _assert_cached_form(a * b)
+        assert bool(calls) == (n > 2)
+        big = Element(n, {random_word(rng, n): F(2**40 + rng.randint(-99, 99), rng.choice(primes)) for _ in range(12)})
+        for a, b in ((big, big), (big, x), (x, big)):
+            _assert_mul_exact(a, b)
+            _assert_cached_form(a * b)
+
+
+def test_result_words_come_from_the_word_table(monkeypatch):
+    # up to order 7 the cached table of all words spells a product's terms;
+    # above it `unpack_words` spells the nonzero keys
+    from floretion import packed
+
+    for n in range(1, 8):
+        assert algebra._word_table(n) == packed.unpack_words(list(range(4**n)), n)
+    real, calls = packed.unpack_words, []
+    monkeypatch.setattr(packed, "unpack_words", lambda keys, n: calls.append(n) or real(keys, n))
+    rng = random.Random(88)
+    for n in (1, 4, 7, 8):
+        x, y = random_element(rng, n, max_terms=20), random_element(rng, n, max_terms=20)
+        _assert_mul_exact(x, y)
+        assert calls == ([8] if n == 8 else [])
 
 
 def test_mul_sparse_order_32():
@@ -596,6 +644,51 @@ def test_json_repeated_terms_add_up():
     x = element_from_json(text)
     assert x.terms == {"12": F(11, 6)}
     assert element_to_json(x) == '{"order": 2, "terms": [{"word": "12", "coeff": "11/6"}]}'
+
+
+#: Coefficient texts for the JSON reader: plain ones it reads through
+#: `int`, and every other one, which goes through `Fraction` as before.
+_COEFF_TEXTS = [
+    "0", "-0", "007", "-12/18", "1/0", "0/0", "-0/5", "+3", " 3", "3 ", "1_000", "1.5", "1e3", "--3", "3/-4",
+    "3/", "/3", "1/2/3", "", "-", "x", "\u0663", "1/\u0663", "9" * 4300, "9" * 5000, "-" + "9" * 5000 + "/7",
+    "1/" + "9" * 5000, "9" * 5000 + "/0",
+]
+
+
+def test_json_coefficient_fast_path_matches_fraction(monkeypatch):
+    # a coefficient read through `int` equals `Fraction(text)` in value, and
+    # where `Fraction` raises, the reader's message is the one it gave before
+    rng = random.Random(4300)
+    texts = _COEFF_TEXTS + [str(random_fraction(rng, -10**30, 10**30, (1, 6, 10**20))) for _ in range(200)]
+    texts += [f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}" for _ in range(200)]
+    real, fast = algebra._fraction, []
+    monkeypatch.setattr(algebra, "_fraction", lambda p, q: fast.append((p, q)) or real(p, q))
+    plain = re.compile(r"-?[0-9]+(/[0-9]+)?")
+    for coeff in texts + [7, -3, 1.5, True, None]:
+        text = str(coeff)
+        del fast[:]
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ValueError) as got:
+                algebra._json_term({"word": "12", "coeff": coeff})
+            assert str(got.value) == f"invalid coefficient {coeff!r}: {exc}"
+            continue
+        word, q = algebra._json_term({"word": "12", "coeff": coeff})
+        assert word == "12" and type(q) is Fraction and type(q.numerator) is int
+        assert (q, str(q), q.denominator) == (want, str(want), want.denominator)
+        assert bool(fast) == bool(plain.fullmatch(text))
+
+
+def test_json_writer_matches_json_dumps():
+    # the directly formatted text is byte-identical to json.dumps of the dict form
+    rng = random.Random(1606)
+    for n in range(1, 7):
+        dense = Element(n, {unpack_word(v, n): random_fraction(rng, -99, 99, _MIXED) for v in rng.sample(range(4**n), min(4**n, 300))})
+        big = Element(n, {random_word(rng, n): F(rng.randint(-(2**90), 2**90), rng.randint(1, 2**70)) for _ in range(10)})
+        for x in (dense, big, random_element(rng, n), Element.one(n), Element.zero(n), dense * big):
+            assert element_to_json(x) == json.dumps(element_to_dict(x))
+            assert element_from_json(element_to_json(x)) == x
 
 
 def test_json_errors():

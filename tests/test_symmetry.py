@@ -107,6 +107,19 @@ def test_apply_perm_element_is_linear():
         assert apply_perm_element(pi, x + y) == apply_perm_element(pi, x) + apply_perm_element(pi, y)
 
 
+def test_apply_perm_element_matches_the_map_basis_route():
+    # the relabelled terms equal the constructor's parse and sum of the
+    # permuted words, term order included, for every permutation
+    rng = random.Random(4106)
+    for n in range(1, 7):
+        for x in (random_element(rng, n, max_terms=40), sierpinski_support(n), Element.one(n), Element.zero(n)):
+            for pi in ALL_PERMS:
+                got = apply_perm_element(pi, x)
+                want = x.map_basis(lambda w, pi=pi: apply_perm_word(pi, w))
+                assert got == want and list(got.terms) == list(want.terms)
+                assert got.order == n and got._packed is None
+
+
 def test_even_perms_are_automorphisms():
     rng = random.Random(42)
     for pi in (IDENTITY, ROTATE, ROTATE2):
