@@ -23,10 +23,10 @@ chosen by one comparison in `Element.__mul__`:
   sum an exactly held integer; the derivation is in `Element.__mul__`.
 - The packed path, every other product: `packed_mul_many` multiplies
   bounded blocks of term pairs, summed per product word (with `np.add.at`
-  up to order 7, by sorting each block above) in int64 when no sum can
-  reach 2**62 and in Python ints otherwise.  Sparse products, orders 1
-  and 2, products past the float64 bound and every order above 10 need
-  it.
+  up to order 7; above, raw blocks fold into the running sums by one sort,
+  once per pair) in int64 when no sum can reach 2**62 and in Python ints
+  otherwise.  Sparse products, orders 1 and 2, products past the float64
+  bound and every order above 10 need it.
 
 The head powers of a coefficient stream skip `Element` products while x
 is sparse: `_power_coeffs` steps one integer vector over the words supp(x)
@@ -263,10 +263,10 @@ class Element:
 
         *Packed path.*  Every other product: term pairs go through
         `packed_mul_many` in blocks of at most `packed._BLOCK_PAIRS`; they
-        add into one slot per word while 4**n <= that, else block
-        sums fold into one sorted (word, sum) pair of arrays.  Memory never
-        follows the pair count.  Sums are int64 when X * Y * min(|x|, |y|)
-        < 2**62, else Python ints.
+        add into one slot per word while 4**n <= that, else raw blocks wait
+        until they outnumber the running sorted (word, sum) arrays, and one
+        `_sum_by_key` sorts them in.  Memory never follows the pair count.
+        Sums are int64 when X * Y * min(|x|, |y|) < 2**62, else Python ints.
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -481,11 +481,12 @@ def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.n
     cols = min(len(ys), packed._BLOCK_PAIRS)
     rows = packed._BLOCK_PAIRS // cols
     # Up to order 7 blocks add into one slot per word, unsorted.  Above,
-    # blocks[0] holds the running sums and the rest are pending sorted
-    # block sums, folded in once they outgrow it, so both stay within a
-    # small multiple of the result's size.
+    # blocks[0] holds the running sums and the rest are raw pending blocks,
+    # which one sort sums into it once they outnumber it: each pair is
+    # sorted once, and both stay within a small multiple of the result.
     dense = 4**n <= packed._BLOCK_PAIRS
-    blocks = [(np.arange(4**n, dtype=np.uint64), np.zeros(4**n, dtype=dtype))] if dense else []
+    size = 4**n if dense else 0
+    blocks = [(np.arange(size, dtype=np.uint64), np.zeros(size, dtype=dtype))]
     for r in range(0, len(xs), rows):
         for c in range(0, len(ys), cols):
             # looked up on the module so a wrapper installed there
@@ -495,24 +496,21 @@ def _packed_sums(xs, xnum, ys, ynum, n: int, top: int) -> tuple[np.ndarray, np.n
             if dense:
                 np.add.at(blocks[0][1], prods.ravel().astype(np.intp), vals)
                 continue
-            blocks.append(_sum_by_key(prods.ravel(), vals))
+            blocks.append((prods.ravel(), vals))
             if sum(len(k) for k, _ in blocks[1:]) > len(blocks[0][0]):
-                blocks = [_merge(blocks)]
-    return _merge(blocks) if len(blocks) > 1 else blocks[0]
+                blocks = [_sum_by_key(blocks)]
+    return _sum_by_key(blocks) if len(blocks) > 1 else blocks[0]
 
 
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct keys and the exact sum of `vals` at each.  Sums
-    stay in `vals`' dtype (never float64, which `np.bincount` would use)."""
+def _sum_by_key(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct keys of the (keys, values) blocks and the exact
+    sum of the values at each, by one sort.  Sums stay in the values'
+    dtype (never float64, which `np.bincount` would use)."""
+    keys = np.concatenate([k for k, _ in blocks])
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(vals[order], starts)
-
-
-def _merge(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (keys, sums) blocks into one sorted pair."""
-    return _sum_by_key(np.concatenate([k for k, _ in blocks]), np.concatenate([v for _, v in blocks]))
+    return keys[starts], np.add.reduceat(np.concatenate([v for _, v in blocks])[order], starts)
 
 
 @cache

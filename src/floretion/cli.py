@@ -264,11 +264,11 @@ def _cmd_seq(args) -> tuple:
     else:
         x = _load_element(args.element)
     printed = not args.float or args.bfile is not None or args.bfile_parts is not None
-    # a stream that grows past the digit limit stops at the first term past it
+    # a stream that grows past the digit limit ends at that term, the only one to check
     stream = coeff_stream(x, args.word, args.mmax, (lambda q: _unprintable(args.scale * q)) if printed else None)
     scaled = [args.scale * q for q in stream]
     if printed:
-        _check_printable(scaled, "--mmax", lambda i: f"term {i + 1} of the stream")
+        _check_printable(scaled[-1:], "--mmax", lambda i: f"term {len(scaled)} of the stream")
     # beyond 2D + 2 terms (D = 2**n) the stream follows its head's minimal rule
     rec = find_recurrence(stream[: 2 * max(2**x.order, args.max_order) + 2], args.max_order) if args.recurrence else None
     b_files = []

@@ -51,12 +51,9 @@ class Perm:
         return cls((text[0], text[1], text[2]))
 
     def __call__(self, digit: str) -> str:
-        if digit == "7":
-            return "7"
-        try:
-            return self.images[_CORNER_DIGITS.index(digit)]
-        except ValueError:
-            raise ValueError(f"not a digit: {digit!r}") from None
+        if digit not in ("1", "2", "4", "7"):
+            raise ValueError(f"not a digit: {digit!r}")
+        return digit.translate(self._table)
 
     def __mul__(self, other: "Perm") -> "Perm":
         return Perm(tuple(self(other(d)) for d in _CORNER_DIGITS))  # type: ignore[arg-type]

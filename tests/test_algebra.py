@@ -167,6 +167,7 @@ def _assert_mul_exact(x, y):
         for q in z.terms.values()
     )
     assert list(z.terms) == sorted(z.terms, key=pack_word)
+    return z
 
 
 def test_fraction_builder_matches_the_constructor():
@@ -304,6 +305,42 @@ def test_mul_sparse_order_32():
     _assert_mul_exact(x, y)
     _assert_mul_exact(x, x)
     _assert_mul_exact(x, Element.one(32))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 12])
+def test_sparse_sums_sort_each_pair_once(n, monkeypatch):
+    # above order 7 raw blocks of pairs wait until they outnumber the running
+    # sums, then one sort sums them all in: 128 x 1024 terms are 8 blocks and
+    # several folds, in int64 and, with numerators near 2**40 and 2**20, in
+    # Python ints; each pair is pending in exactly one fold
+    real, folds = algebra._sum_by_key, []
+
+    def spy(blocks):
+        folds.append((sum(len(k) for k, _ in blocks[1:]), blocks[-1][1].dtype))
+        return real(blocks)
+
+    monkeypatch.setattr(algebra, "_sum_by_key", spy)
+    rng = random.Random(n)
+
+    def sample(k, coeff=lambda: rng.choice((-1, 1)) * random_fraction(rng, 1, 9, _MIXED)):
+        return Element(n, {unpack_word(v, n): coeff() for v in rng.sample(range(4**n), k)})
+
+    x, y = sample(128), sample(1024)
+    big_x = sample(128, lambda: F(rng.choice((-1, 1)) * 2**40 + rng.randint(-99, 99), rng.choice(_MIXED)))
+    big_y = sample(1024, lambda: F(rng.choice((-1, 1)) * 2**20 + rng.randint(-99, 99), rng.choice(_MIXED)))
+    for a, b, dtype in ((x, y, "int64"), (big_x, big_y, "object")):
+        del folds[:]
+        _assert_cached_form(_assert_mul_exact(a, b))
+        assert len(folds) > 2 and {str(d) for _, d in folds} == {dtype}
+        assert sum(k for k, _ in folds) == len(a.terms) * len(b.terms) == 8 * 2**14
+    # e squares to 1, so a (1 + e) times (1 - e) b cancels to zero
+    e = Element(n, {"12" + "7" * (n - 2): 1})
+    assert e * e == Element.one(n)
+    left, right = sample(16) * (Element.one(n) + e), (Element.one(n) - e) * sample(512)
+    del folds[:]
+    z = _assert_mul_exact(left, right)
+    assert z.is_zero() and len(folds) > 1
+    _assert_cached_form(z)
 
 
 def _matrix_mul(x, y):

@@ -17,6 +17,7 @@ from floretion.centralizer import (
     sigma_sums,
     signed_centralizer_order,
 )
+from floretion.packed import unpack_word
 from floretion.words import (
     SignedWord,
     all_words,
@@ -245,6 +246,19 @@ def test_component_product_memory_is_bounded():
     for left in (plus, plus.scaled(2**30)):
         _, peak = _traced_peak(lambda: left * every)
         assert peak < 16 * 2**20
+
+
+def test_sparse_product_memory_is_bounded_above_order_7():
+    # 2048 x 2048 order-8 terms, one side scaled by 2**30, past the float64
+    # bound, on the packed path: 4M pairs into at most 4**8 words.  Pending
+    # blocks fold into the running sums once they outnumber them; one sort
+    # over every pair would hold 64 MB of keys and values alone
+    rng = random.Random(8)
+    x, y = (Element(8, {unpack_word(v, 8): rng.choice((-1, 1)) for v in rng.sample(range(4**8), 2048)}) for _ in "xy")
+    big = x.scaled(2**30)
+    z, peak = _traced_peak(lambda: big * y)
+    assert peak < 32 * 2**20
+    assert z == (x * y).scaled(2**30)  # x * y takes the matrix path
 
 
 def test_sigma_eigen_relations():

@@ -86,6 +86,14 @@ def test_apply_perm_word_matches_digitwise_action():
                 assert apply_perm_word(pi, w) == "".join(pi(d) for d in w)
 
 
+@pytest.mark.parametrize("digit", ["", "12", "24", "124", "77"])
+def test_perm_call_rejects_non_digits(digit):
+    # exactly one of 1, 2, 4 and 7: no substring of "124", no repeated 7
+    for pi in ALL_PERMS:
+        with pytest.raises(ValueError, match=f"^not a digit: {re.escape(repr(digit))}$"):
+            pi(digit)
+
+
 @pytest.mark.parametrize("word", ["3", "12x4", "1 2", "ijk", "12\u00e9", "7\u0661", "x247", "1247x", "1x7\u00e9"])
 def test_apply_perm_word_rejects_non_digits(word):
     # the first bad character, wherever it is, in the message `Perm.__call__` raises on it
