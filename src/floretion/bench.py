@@ -1,8 +1,8 @@
 """`floretion bench`: time the product kernels, word parse and pack, dense
 `Element` squares, a sparse `Element` product, the JSON round trip, the
-vanishing check, three coefficient streams, an overlay render, a centralizer
-listing and four README commands end to end as fresh `python -m floretion`
-processes."""
+vanishing check, three coefficient streams, an integral and a rational
+recurrence continuation, an overlay render, a centralizer listing and four
+README commands end to end as fresh `python -m floretion` processes."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .algebra import Element, element_from_json, element_to_json
 from .centralizer import centralizer_tiles, check_vanishing
 from .packed import lane_masks, pack_words, packed_mul_many, unpack_words
 from .render import render_tiling
-from .sequences import coeff_stream, find_recurrence, padovan_elements
+from .sequences import coeff_stream, fibonacci_elements, find_recurrence, padovan_elements
 from .words import all_words, parse_word, unpack_word, word_mul
 
 #: Seed of the random word pairs and dense elements, so every run times the same inputs.
@@ -175,6 +175,12 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     lines.append(f"find_recurrence padovan ik: 200 terms in {t_rec * 1e3:.3f} ms")
     t_extend, _ = timed("recurrence_extend_padovan_ik_190", 3, lambda: rec.extend(stream[:10], 190))
     lines.append(f"Recurrence.extend padovan ik: 190 terms in {t_extend * 1e3:.3f} ms")
+    # Padovan's rule is integral; this one, of the rational Fibonacci preset, is not
+    _, _, z = fibonacci_elements(Fraction(3, 2), Fraction(-2, 3), Fraction(1, 3))
+    stream = coeff_stream(z, "ij", 200)
+    rec = find_recurrence(stream, 4)
+    t_extend, _ = timed("recurrence_extend_fibonacci_q_190", 3, lambda: rec.extend(stream[:10], 190))
+    lines.append(f"Recurrence.extend fibonacci 3/2,-2/3,1/3 ij: 190 terms in {t_extend * 1e3:.3f} ms")
     # sparse elements, each its whole head; the order-6 one spans 512 words, the widest span here
     for k, terms, head in ((3, 4, 18), (6, 10, 130)):
         rng = random.Random(SEED)

@@ -13,7 +13,10 @@ misreport minimality, so none is used.  Given 2D + 2 terms, that pass
 returns the stream's minimal recurrence for every m, not only for the
 terms it saw; `coeff_stream` therefore computes at most 2D + 2 powers and
 continues the stream by that recurrence, whose `extend` sums each new term
-in integers and pays one gcd for it.
+in integers and pays one gcd for it.  An element with integer coefficients
+acts by an integer matrix, so by Gauss's lemma its streams follow integral
+rules; `extend` then keeps the terms as integers over one fixed denominator
+and that gcd is against a small number.
 
 Those head powers need no `Element` product while x is sparse: right
 multiplication by x maps each basis word to +- one word of the span that
@@ -32,6 +35,8 @@ Streams index from m = 1: values[i] is the coefficient in X**(i+1).
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Sequence
@@ -98,25 +103,45 @@ class Recurrence:
         """Continue a sequence by `count` further terms from its tail, or up
         to and including the first new term t with until(t) true.
 
-        Exact, in integers: the coefficients are p_i / Q over their lcm Q and
-        the terms are reduced numerator/denominator pairs, so a new term is
+        Exact, in integers, by one of two loops picked by Q, the lcm of the
+        coefficients' denominators.  An integral rule (Q = 1; by Gauss's
+        lemma the rule of every stream of an element with integer
+        coefficients) keeps each term an integer N_m over the tail's common
+        denominator L, which never grows: a new term is sum c_i N_(m-i) over
+        L, and its `Fraction` costs one gcd against the small L.
+
+        A rational rule is p_i / Q and the terms are reduced
+        numerator/denominator pairs, so a new term is
         sum p_i N_(m-i) (L / D_(m-i)) over L Q, L the lcm of the denominators
         it reads.  Reducing that `Fraction` is the one gcd of full size per
         term (L's gcds are cheap: those denominators mostly divide one
-        another).  Scaling the whole stream to integers instead (by Q**m or
-        a common denominator d**m) makes that gcd far larger and the loop
-        several times slower.
+        another).  Scaling a rational stream to integers instead (by Q**m)
+        makes that gcd far larger: on the rational Fibonacci preset such a
+        loop is faster up to a few hundred terms but 1.4-1.5x slower at 1000.
         """
         k = self.order
         if len(seed) < k:
             raise ValueError(f"need at least {k} seed terms, got {len(seed)}")
         coeffs = [Fraction(c) for c in self.coeffs]
         q = math.lcm(*(c.denominator for c in coeffs))
-        rule = [(i, c.numerator * (q // c.denominator)) for i, c in enumerate(coeffs, 1) if c]
         tail = [Fraction(v) for v in seed[len(seed) - k :]]
+        out = []
+        if q == 1:
+            # the window holds N_(m-k) .. N_(m-1), oldest first, as ps does c_k .. c_1
+            lcd = math.lcm(*(v.denominator for v in tail))
+            ps = [c.numerator for c in reversed(coeffs)]
+            window = deque((v.numerator * (lcd // v.denominator) for v in tail), maxlen=k)
+            for _ in range(count):
+                s = sum(map(operator.mul, ps, window))
+                v = _fraction(s, lcd)
+                out.append(v)
+                if until and until(v):
+                    break
+                window.append(s)
+            return out
+        rule = [(i, c.numerator * (q // c.denominator)) for i, c in enumerate(coeffs, 1) if c]
         nums = [v.numerator for v in tail]
         dens = [v.denominator for v in tail]
-        out = []
         for _ in range(count):
             lcd = math.lcm(*(dens[-i] for i, _ in rule))
             v = _fraction(sum(p * nums[-i] * (lcd // dens[-i]) for i, p in rule), lcd * q)
@@ -152,9 +177,9 @@ def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | Non
         raise ValueError(f"need at least {need} terms for max_order {max_order}, got {len(seq)}")
     # A recurrence is unchanged when the whole sequence is scaled, so run
     # on integers a over one common denominator.
-    seq = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq]
-    den = math.lcm(*(v.denominator for v in seq))
-    a = [v.numerator * (den // v.denominator) for v in seq]
+    pairs = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in seq]
+    den = math.lcm(*(d for _, d in pairs))
+    a = [p * (den // d) for p, d in pairs]
     # Fraction-free (no division by b_disc): the int list c stands for the
     # connection polynomial c / c[0] of the rational pass, and a discrepancy
     # d is the rational one times c[0] * den, so every d == 0 and grow
@@ -167,8 +192,10 @@ def find_recurrence(seq: Sequence[Fraction], max_order: int) -> Recurrence | Non
     c = [1] + [0] * max_order
     b, b_disc = list(c), den
     length, shift = 0, 1
-    for m in range(len(a)):
-        d = sum(c[i] * a[m - i] for i in range(length + 1))
+    # a[m - i] for i = 0 .. length is r[n - 1 - m + i]: one slice, in c's order
+    n, r = len(a), a[::-1]
+    for m in range(n):
+        d = sum(map(operator.mul, c, r[n - 1 - m : n - m + length]))
         if d == 0:
             shift += 1
             continue

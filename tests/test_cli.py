@@ -675,6 +675,7 @@ def test_bench_json_record(tmp_path):
     for name, line in (
         ("find_recurrence_padovan_ik_200", "find_recurrence padovan ik: 200 terms in {:.3f} ms"),
         ("recurrence_extend_padovan_ik_190", "Recurrence.extend padovan ik: 190 terms in {:.3f} ms"),
+        ("recurrence_extend_fibonacci_q_190", "Recurrence.extend fibonacci 3/2,-2/3,1/3 ij: 190 terms in {:.3f} ms"),
         ("coeff_stream_random_order3_head", "coeff_stream random order 3: 18 powers of 4 terms in {:.3f} ms"),
         ("coeff_stream_random_order6_head", "coeff_stream random order 6: 130 powers of 10 terms in {:.3f} ms"),
         ("element_product_order5_8x256", "Element product order 5: 8 x 256 terms in {:.3f} ms"),

@@ -181,8 +181,9 @@ def test_find_recurrence_matches_reference_oracle():
 
 def _extend_cases(rng):
     """(recurrence, seed, count): rational coefficients and seeds of orders
-    1-8 with some coefficients zero, integer rules, order 1, and rules whose
-    terms' denominators grow without bound."""
+    1-8 with some coefficients zero, integer rules with integer and with
+    rational seeds, long integer-rule continuations, order 1, the empty rule,
+    and rules whose terms' denominators grow without bound."""
     for _ in range(300):
         k = rng.randint(1, 8)
         coeffs = [random_fraction(rng, -3, 3, (1, 2, 3, 5, 7)) for _ in range(k)]
@@ -196,6 +197,18 @@ def _extend_cases(rng):
     for _ in range(40):  # order 1: geometric, including 0 and -1
         yield Recurrence((random_fraction(rng, -3, 3, (1, 2, 7)),)), [random_fraction(rng)], 50
     yield Recurrence((F(0), F(0))), [F(1, 2), F(3)], 5
+    for _ in range(60):  # integer rules over seeds of mixed denominators
+        k = rng.randint(1, 6)
+        coeffs = [F(rng.randint(-3, 3)) for _ in range(k)]
+        coeffs[rng.randrange(k)] = F(0)
+        seed = [random_fraction(rng, -9, 9, (1, 2, 4, 9)) for _ in range(rng.randint(k, k + 3))]
+        yield Recurrence(tuple(coeffs)), seed, rng.randint(0, 60)
+    for _ in range(5):  # long integer-rule continuations from rational seeds
+        k = rng.randint(2, 5)
+        rec = Recurrence(tuple(F(rng.randint(-2, 2)) for _ in range(k)))
+        yield rec, [random_fraction(rng, -5, 5, (1, 2, 4, 9)) for _ in range(k)], 300
+    for n in range(4):  # the empty rule continues any seed with zeros
+        yield Recurrence(()), [random_fraction(rng) for _ in range(n)], 7
     for _ in range(10):  # long streams with growing denominators
         rec = Recurrence((F(rng.choice((-3, 3)), 2), F(2, rng.choice((7, 9))), F(-1, 5)))
         yield rec, [random_fraction(rng, -5, 5, (1, 3, 5)) for _ in range(3)], 300
@@ -218,6 +231,39 @@ def test_recurrence_extend_matches_reference_extend():
     assert zeros > 0
     # long growing denominators really grew
     assert max(v.denominator for v in out).bit_length() > 500
+
+
+def test_recurrence_extend_until_is_a_prefix_of_the_full_continuation():
+    # an integer rule from a rational seed, and a rational rule
+    cases = (
+        (Recurrence((F(1), F(0), F(-2))), [F(1, 2), F(-4, 9), F(3, 4)]),
+        (Recurrence((F(3, 2), F(2, 9), F(-1, 5))), [F(1, 3), F(-2), F(4, 5)]),
+    )
+    for rec, seed in cases:
+        full = rec.extend(seed, 80)
+        assert full == reference_extend(rec, seed, 80)
+        for stop in (0, 1, 17, 79):
+            target = full[stop]
+            assert rec.extend(seed, 80, until=lambda t: t == target) == full[: full.index(target) + 1]
+        assert rec.extend(seed, 80, until=lambda t: False) == full
+
+
+def test_integer_elements_have_integer_rules():
+    # Gauss's lemma: an element with integer coefficients acts by an integer
+    # matrix, whose minimal polynomial is monic in Z[x]; so is every monic
+    # factor of it, and the rule of each coefficient stream is one
+    rng = random.Random(20261023)
+    for n in (1, 2, 3):
+        degree = 2**n
+        head, m = 2 * degree + 2, 2 * degree + 2 + 40
+        words = sorted(all_words(n))
+        for trial in range(8):  # the first dense: every word
+            size = len(words) if trial == 0 else rng.randint(1, 4)
+            x = Element(n, {w: rng.choice((-1, 1)) * rng.randint(1, 3) for w in rng.sample(words, size)})
+            for w in {*rng.sample(sorted(x.terms), min(3, size)), random_word(rng, n)}:
+                rec = find_recurrence(coeff_stream(x, w, head), degree)
+                assert rec is not None and all(c.denominator == 1 for c in rec.coeffs), (x, w, rec)
+                assert coeff_stream(x, w, m) == reference_stream(x, w, m), (x, w)
 
 
 def test_find_recurrence_edge_cases_match_reference():
