@@ -34,9 +34,8 @@ generates, right multiplication by x being one signed gather there.
 
 An Element caches its integer form (packed keys, numerators over their
 least common denominator, that denominator, the largest |numerator|) in
-its `_packed` slot, set by `_numerators` on first use or by the product
-that made it, so an operand used again, as in x * x or a power, is packed
-once.
+its `_packed` slot, built by `_numerators` alone on first use, so an
+operand used again, as in x * x or a power, is packed once.
 
 A product builds its terms eagerly and in bulk: one `np.gcd` reduces
 every sum over the common denominator, `_fractions` sets the reduced
@@ -236,15 +235,11 @@ class Element:
 
         Both sides become integer numerators over one common denominator
         each (`_numerators`, cached on the operand); two paths sum their
-        signed products per product word.  The result caches its own form:
-        the nonzero sums s_i over den = xden * yden, divided by
-        g = gcd(den, s_1, ..., s_k), its largest |s_i| / g read off the
-        sums array.  That is what `_numerators` computes
-        from the result's terms: each s_i / den reduces to a denominator
-        den / gcd(den, s_i), whose lcm over i is den / g, and ascending keys
-        are the order in which the terms are built.  All terms reduce at
-        once in numpy, gcd(s_i, den) by one `np.gcd` (in Python ints when
-        den needs more than 63 bits), and `_fractions` sets their slots.
+        signed products per product word.  The nonzero sums s_i over
+        den = xden * yden reduce at once in numpy, gcd(s_i, den) by one
+        `np.gcd` (in Python ints when den needs more than 63 bits), and
+        `_fractions` sets their slots.  The result's own integer form is
+        left to `_numerators`, should it be multiplied in turn.
 
         *Matrix path.*  Let m = n + n % 2 (an odd order runs as x (x) 7,
         an algebra map), X = max|num x| and Y = max|num y|.  It runs when
@@ -289,13 +284,9 @@ class Element:
         if den.bit_length() > 63:  # numpy raises OverflowError on such an int next to int64
             sums = sums.astype(object)
         gs = np.gcd(sums, den)  # object dtype calls math.gcd
-        g = int(np.gcd.reduce(gs, initial=den))
         # up to order 7 both paths return every key, nonzero or not
         words = compress(_word_table(n), nonzero.tolist()) if 4**n <= packed._BLOCK_PAIRS else packed.unpack_words(keys, n)
-        z = Element._canonical(n, dict(zip(words, _fractions((sums // gs).tolist(), (den // gs).tolist()))))
-        top = int(np.abs(sums).max(initial=0)) // g
-        object.__setattr__(z, "_packed", (keys, (sums // g).tolist(), den // g, top))
-        return z
+        return Element._canonical(n, dict(zip(words, _fractions((sums // gs).tolist(), (den // gs).tolist()))))
 
     def __pow__(self, m: int) -> "Element":
         if _non_integer(m) or m < 0:
@@ -360,7 +351,7 @@ def _numerators(x: Element) -> tuple[np.ndarray, list[int], int, int]:
     largest |numerator|, which bounds the sums of every product.
     Every product starts here, so this is where numpy loads.  Built once
     per Element, whose terms never change, and kept in its `_packed` slot;
-    `Element.__mul__` sets its result's slot to the same value."""
+    nothing else sets that slot."""
     _load()
     if x._packed is None:
         # packed first, so that the peak of `pack_words` does not add to the pairs

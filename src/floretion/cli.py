@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -168,14 +169,14 @@ def _cmd_split(args) -> tuple:
 
 
 def _cmd_symmetry_apply(args) -> tuple:
+    if (args.word is None) == (args.element is None):
+        raise ValueError("symmetry apply needs exactly one of --word or --element")
     pi = parse_perm(args.perm)
     if args.word is not None:
         return [format_word(apply_perm_word(pi, parse_word(args.word)), args.letters)], []
-    if args.element is not None:
-        y = apply_perm_element(pi, _load_element(args.element))
-        _check_coeffs(y, None)
-        return [element_to_json(y)], []
-    raise ValueError("symmetry apply needs --word or --element")
+    y = apply_perm_element(pi, _load_element(args.element))
+    _check_coeffs(y, None)
+    return [element_to_json(y)], []
 
 
 def _cmd_symmetry_axis(args) -> tuple:
@@ -252,13 +253,29 @@ def _b_file_text(values: list[Fraction], offset: int) -> str:
     return out.getvalue()
 
 
+def _check_distinct_files(paths: list[str | None]) -> None:
+    """Refuse two outputs that name one file, which the later write would
+    overwrite; - (stdout) may repeat."""
+    seen = set()
+    for path in paths:
+        if path not in (None, "-"):
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"two b-file outputs name the same file {path!r}")
+            seen.add(real)
+
+
 def _cmd_seq(args) -> tuple:
     _check_cap(args.mmax, "--mmax")
     if (args.preset is None) == (args.element is None):
         raise ValueError("seq needs exactly one of --preset or --element")
+    fibonacci = args.preset in ("fib", "fibonacci")
+    if args.seed is not None and not fibonacci:
+        raise ValueError("--seed applies only to --preset fibonacci")
+    _check_distinct_files([args.bfile, *(args.bfile_parts or ())])
     if args.preset is not None:
-        if args.preset in ("fib", "fibonacci"):
-            _, _, x = fibonacci_elements(*_parse_seed(args.seed))
+        if fibonacci:
+            _, _, x = fibonacci_elements(*_parse_seed(args.seed or "-1,1,-1"))
         else:
             _, _, x = padovan_elements()
     else:
@@ -394,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the terms searched.",
     )
     p.add_argument("--preset", choices=["fib", "fibonacci", "padovan"], help="built-in order-two construction")
-    p.add_argument("--seed", default="-1,1,-1", help="A,B,C seed coefficients for the fibonacci preset")
+    p.add_argument("--seed", help="A,B,C seed coefficients for the fibonacci preset (default -1,1,-1)")
     p.add_argument("--element", help="element JSON file, or - for stdin")
     p.add_argument("--word", required=True, help="basis word to track")
     p.add_argument("--mmax", type=int, required=True, help=f"number of powers, at most {MAX_POWER}")

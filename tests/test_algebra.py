@@ -273,12 +273,12 @@ def test_mul_exact_over_denominators_past_int64(monkeypatch):
         del calls[:]
         for a, b in ((x, y), (y, x), (x, x), (random_element(rng, n), y))[: 1 if n == 5 else 4]:
             _assert_mul_exact(a, b)
-            _assert_cached_form(a * b)
+            _assert_built_on_use(a * b)
         assert bool(calls) == (n > 2)
         big = Element(n, {random_word(rng, n): F(2**40 + rng.randint(-99, 99), rng.choice(primes)) for _ in range(12)})
         for a, b in ((big, big), (big, x), (x, big)):
             _assert_mul_exact(a, b)
-            _assert_cached_form(a * b)
+            _assert_built_on_use(a * b)
 
 
 def test_result_words_come_from_the_word_table(monkeypatch):
@@ -330,7 +330,7 @@ def test_sparse_sums_sort_each_pair_once(n, monkeypatch):
     big_y = sample(1024, lambda: F(rng.choice((-1, 1)) * 2**20 + rng.randint(-99, 99), rng.choice(_MIXED)))
     for a, b, dtype in ((x, y, "int64"), (big_x, big_y, "object")):
         del folds[:]
-        _assert_cached_form(_assert_mul_exact(a, b))
+        _assert_built_on_use(_assert_mul_exact(a, b))
         assert len(folds) > 2 and {str(d) for _, d in folds} == {dtype}
         assert sum(k for k, _ in folds) == len(a.terms) * len(b.terms) == 8 * 2**14
     # e squares to 1, so a (1 + e) times (1 - e) b cancels to zero
@@ -340,7 +340,7 @@ def test_sparse_sums_sort_each_pair_once(n, monkeypatch):
     del folds[:]
     z = _assert_mul_exact(left, right)
     assert z.is_zero() and len(folds) > 1
-    _assert_cached_form(z)
+    _assert_built_on_use(z)
 
 
 def _matrix_mul(x, y):
@@ -527,10 +527,18 @@ def _assert_cached_form(z):
     assert type(top) is int and top == max(map(abs, nums), default=0)
 
 
+def _assert_built_on_use(z):
+    """A product leaves its packed form unset; `_numerators` builds it on
+    first use, from the terms alone."""
+    assert z._packed is None
+    algebra._numerators(z)
+    _assert_cached_form(z)
+
+
 def test_packed_cache_equals_recomputation(monkeypatch):
-    # the form a product caches on its result, and `_numerators` on an
-    # operand, is what its terms give, on both paths, int64 and object sums,
-    # cancelling products, squares and powers
+    # `_numerators` alone builds the cached form, on an operand or on a
+    # product's result when it is used, and it is what the terms give, on
+    # both paths, int64 and object sums, cancelling products, squares and powers
     calls = _count_matrix_calls(monkeypatch)
     rng = random.Random(2016)
     for n in range(1, 7):
@@ -546,25 +554,26 @@ def test_packed_cache_equals_recomputation(monkeypatch):
         del calls[:]
         for a, b in cases:
             z = a * b
-            for e in (z, a, b):
+            _assert_built_on_use(z)
+            for e in (a, b):
                 _assert_cached_form(e)
             assert z == Element(n, a.terms) * Element(n, b.terms)
         assert (cases[-1][0] * cases[-1][1]).is_zero() or n == 1
         assert bool(calls) == (n > 2)  # dense products take the matrix path from padded order 4
         fresh = Element(n, x.terms)
         square = fresh * fresh
-        _assert_cached_form(square)
+        _assert_built_on_use(square)
         small = sample(5)
         for m in (3, 5):
             power = Element(n, small.terms) ** m
-            _assert_cached_form(power)
+            _assert_built_on_use(power)
             assert power == functools.reduce(reference_mul, [small] * m)
-        # the head kernel reads a product's cached form
+        # the head kernel reads the form `_numerators` built on a product
         w = random_word(rng, n)
         assert algebra._power_coeffs(square, w, 6) == algebra._power_coeffs(Element(n, square.terms), w, 6)
-        # everything but a product leaves the slot empty
+        # every Element, products included, leaves the slot empty until `_numerators` runs
         built = (Element(n, x.terms), Element._canonical(n, x.terms), x + y, x - y, -x, x.scaled(F(2, 3)),
-                 x.conjugate(), *x.parity_split(), Element.zero(n) * x)
+                 x.conjugate(), *x.parity_split(), Element.zero(n) * x, x * y, dense * x, small**3)
         assert all(e._packed is None for e in built)
 
 

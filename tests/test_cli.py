@@ -104,6 +104,16 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         (["centralizer", "12", "--svg", "x.svg", "--r0", "1e308"], None),
         # the depth is checked before the 2**40 axis words are built
         (["render", "40", "--highlight-axis", "1"], None),
+        # options the call would ignore, and b-files that would overwrite each other
+        (["symmetry", "apply", "rot", "--word", "12", "--element", "-"], _SMALL_ELEMENT),
+        (["seq", "--preset", "padovan", "--seed", "5,5,5", "--word", "ik", "--mmax", "3"], None),
+        (["seq", "--element", "-", "--seed", "5,5,5", "--word", "12", "--mmax", "3"], _SMALL_ELEMENT),
+        (["seq", "--preset", "fib", "--word", "ij", "--mmax", "3", "--bfile-parts", "n.txt", "n.txt"], None),
+        (["seq", "--preset", "fib", "--word", "ij", "--mmax", "3", "--bfile-parts", "n.txt", "./n.txt"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "3", "--bfile", "n.txt",
+          "--bfile-parts", "n.txt", "d.txt"], None),
+        (["seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "3", "--bfile", "d.txt",
+          "--bfile-parts", "n.txt", "d.txt"], None),
     ],
     ids=[
         "terms-not-list", "order-true", "d1-nan", "r0-nan", "iterations-0", "threads-0", "threads-neg", "usage",
@@ -112,6 +122,8 @@ _SMALL_ELEMENT = '{"order": 2, "terms": [{"word": "12", "coeff": "1/2"}]}'
         "svg-missing-dir", "bfile-missing-dir", "bfile-parts-missing-dir",
         "pow-over-cap", "coeff-over-cap", "mmax-over-cap", "mmax-huge",
         "d1-overflow", "orbit-d1-overflow", "r0-overflow", "svg-r0-overflow", "highlight-depth-40",
+        "apply-word-and-element", "seed-padovan", "seed-element", "bfile-parts-same", "bfile-parts-same-real",
+        "bfile-is-num", "bfile-is-den",
     ],
 )
 def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
@@ -120,6 +132,7 @@ def test_malformed_input_is_one_line_error(args, stdin, tmp_path):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+    assert not any(tmp_path.iterdir())  # no output file written
 
 
 def test_render_depth_checked_before_axis_words(monkeypatch, capsys):
@@ -388,6 +401,14 @@ def test_seq_bfile(tmp_path):
     assert r.returncode == 0
     assert r.stdout == "1 1 1\n1 1\n2 1\n3 1\n"
     assert not (tmp_path / "-").exists()
+    # - may stand for several outputs, each written to stdout in turn
+    r = run_cli(
+        "seq", "--preset", "padovan", "--word", "ik", "--scale", "4", "--mmax", "2", "--bfile", "-",
+        "--bfile-parts", "-", "-", cwd=tmp_path,
+    )
+    assert r.returncode == 0
+    assert r.stdout == "1 1\n" + "1 1\n2 1\n" * 3
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
 
 
 def test_seq_bfile_parts(tmp_path):
@@ -692,6 +713,12 @@ def test_bench_json_record(tmp_path):
         assert metrics[f"element_square_order{k}_terms_in"] == {"value": 4**k, "unit": "terms"}
         line = f"Element square order {k}: {4**k} terms -> {metrics[f'element_square_order{k}_terms_out']['value']} terms in {row['value']:.4f} s"
         assert line in r.stdout.splitlines()
+    row = metrics["element_cube_order4_16"]
+    assert row["unit"] == "s" and row["value"] == min(row["runs_s"]) and len(row["runs_s"]) == 3
+    out = metrics["element_cube_order4_16_terms_out"]
+    assert out["unit"] == "terms" and 0 < out["value"] <= 4**4
+    line = f"Element cube order 4: 16 terms -> {out['value']} terms in {row['value'] * 1e3:.3f} ms"
+    assert line in r.stdout.splitlines()
     # the CLI rows follow every other line
     cli_lines = r.stdout.splitlines()[-4:]
     for (name, label), line in zip(
