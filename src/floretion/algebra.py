@@ -395,7 +395,8 @@ def _word_table(n: int) -> list[str]:
 def _power_coeffs(x: Element, word: str, count: int) -> list[Fraction] | None:
     """Coefficients of the canonical `word` in x**1 .. x**count, or None when
     the span of supp(x) times |x| exceeds `packed._BLOCK_PAIRS` (the caller
-    then multiplies Elements, where dense operands take the matrix path).
+    then multiplies Elements, on the matrix path only while the numerators
+    of the powers stay under its float64 bound).
 
     Right multiplication by a word maps each word to +- one word, so the
     powers of x stay in the words that supp(x) generates.  With keys

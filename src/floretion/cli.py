@@ -253,18 +253,6 @@ def _b_file_text(values: list[Fraction], offset: int) -> str:
     return out.getvalue()
 
 
-def _check_distinct_files(paths: list[str | None]) -> None:
-    """Refuse two outputs that name one file, which the later write would
-    overwrite; - (stdout) may repeat."""
-    seen = set()
-    for path in paths:
-        if path not in (None, "-"):
-            real = os.path.realpath(path)
-            if real in seen:
-                raise ValueError(f"two b-file outputs name the same file {path!r}")
-            seen.add(real)
-
-
 def _cmd_seq(args) -> tuple:
     _check_cap(args.mmax, "--mmax")
     if (args.preset is None) == (args.element is None):
@@ -272,10 +260,13 @@ def _cmd_seq(args) -> tuple:
     fibonacci = args.preset in ("fib", "fibonacci")
     if args.seed is not None and not fibonacci:
         raise ValueError("--seed applies only to --preset fibonacci")
-    _check_distinct_files([args.bfile, *(args.bfile_parts or ())])
+    # one file named twice would hold only the later write; - (stdout) may repeat
+    files = [os.path.realpath(p) for p in (args.bfile, *(args.bfile_parts or ())) if p not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise ValueError("two b-file outputs name the same file")
     if args.preset is not None:
         if fibonacci:
-            _, _, x = fibonacci_elements(*_parse_seed(args.seed or "-1,1,-1"))
+            _, _, x = fibonacci_elements(*_parse_seed("-1,1,-1" if args.seed is None else args.seed))
         else:
             _, _, x = padovan_elements()
     else:
