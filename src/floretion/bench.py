@@ -163,9 +163,9 @@ def run(n: int, iters: int, m: int) -> tuple[list[str], dict]:
     lines.append(f"Element product order 5: 8 x 256 terms in {t_sparse * 1e3:.3f} ms")
     # the shape of its 16-term order-4 cube: x * (x * x) multiplies a product's result again
     rng = random.Random(SEED)
-    c = Element(4, {unpack_word(v, 4): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    x = Element(4, {unpack_word(v, 4): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
                     for v in rng.sample(range(4**4), 16)})
-    t_cube, cube = timed("element_cube_order4_16", 3, lambda: _uncached(c) ** 3)
+    t_cube, cube = timed("element_cube_order4_16", 3, lambda: _uncached(x) ** 3)
     note("element_cube_order4_16_terms_out", len(cube.terms), "terms")
     lines.append(f"Element cube order 4: 16 terms -> {len(cube.terms)} terms in {t_cube * 1e3:.3f} ms")
     t_json, _ = timed("element_json_round_trip_order5_256", 3, lambda: element_from_json(element_to_json(z)))
