@@ -678,7 +678,8 @@ def test_bench_json_record(tmp_path):
     from floretion.bench import SEED
     from floretion.words import unpack_word
 
-    render_word = unpack_word(random.Random(SEED).randrange(4**6 - 1), 6)
+    rng = random.Random(SEED)
+    render_word, cached_word = (unpack_word(rng.randrange(4**6 - 1), 6) for _ in range(2))
     args = ("bench", "--order", "3", "--iterations", "500", "--scan-order", "4")
     out = tmp_path / "bench.json"
     r = run_cli(*args, "--json", str(out))
@@ -702,6 +703,7 @@ def test_bench_json_record(tmp_path):
         ("element_product_order5_8x256", "Element product order 5: 8 x 256 terms in {:.3f} ms"),
         ("element_json_round_trip_order5_256", "Element JSON round trip order 5: 256 terms in {:.3f} ms"),
         ("render_tiling_depth6", f"render_tiling depth 6: 4096 tiles, plus/minus overlay of {render_word}, in {{:.3f}} ms"),
+        ("render_tiling_depth6_cached", f"render_tiling depth 6 cached: 4096 tiles, plus/minus overlay of {cached_word}, in {{:.3f}} ms"),
         ("word_parse_pack_order5_256", "parse_word + pack_words order 5: 256 letter words in {:.3f} ms"),
     ):
         row = metrics[name]
