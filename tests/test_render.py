@@ -36,7 +36,7 @@ _CACHE_CALLS = (
 
 def _first_difference(svg: str, ref: str) -> tuple | None:
     """None if svg == ref, else the first differing line number and lines:
-    pytest's own report on two unequal SVGs of a megabyte runs for hours."""
+    pytest's own report on two unequal SVGs of a megabyte runs for over an hour."""
     lines = enumerate(zip_longest(svg.splitlines(), ref.splitlines()))
     return None if svg == ref else next((i, a, b) for i, (a, b) in lines if a != b)
 
