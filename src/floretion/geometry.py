@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .words import noncentral_count
@@ -65,6 +66,21 @@ DEFAULT_R0 = 1.0
 DEFAULT_STEP = DEFAULT_R0 / 2.0
 
 
+def _scale(value, what: str, name: str) -> float:
+    """A length scale read as one float: ValueError unless it is a real, not
+    a bool, with 0 < 2 * value < inf.  An int or Fraction too large for a
+    float reads as +-inf; the message shows that float or the type, never
+    `str(value)`, which raises past Python's integer-to-text limit."""
+    real = isinstance(value, Real) and type(value) is not bool
+    try:
+        v = float(value) if real else math.nan
+    except OverflowError:
+        v = math.inf if value > 0 else -math.inf
+    if not 0 < 2 * v < math.inf:  # every coordinate is below 2 * value
+        raise ValueError(f"{what} must be positive with 2*{name} finite, got {v if real else type(value).__name__}")
+    return v
+
+
 def elementary_vector(digit: str) -> Vec2:
     """Unit corner direction of a digit (the zero vector for 7)."""
     try:
@@ -80,11 +96,9 @@ def centroid(word: str, d1: float = DEFAULT_STEP) -> Vec2:
     steps.  With d1 = R0/2 this is the centroid of the tile inside the
     depth-0 triangle of circumradius R0 centered at the origin.
     """
-    if not 0 < 2 * d1 < math.inf:  # every coordinate is below 2*d1
-        raise ValueError(f"step scale must be positive with 2*d1 finite, got {d1}")
     x = y = 0.0
     sign_step = 1.0
-    step = d1
+    step = _scale(d1, "step scale", "d1")
     for ch in word:
         v = elementary_vector(ch)
         x += sign_step * step * v.x
@@ -109,8 +123,7 @@ _VERTEX_ORDER = ("2", "4", "1")
 def tile_polygon(word: str, r0: float = DEFAULT_R0) -> tuple[Vec2, Vec2, Vec2]:
     """The three vertices of a word's tile inside a depth-0 triangle of
     circumradius r0; equilateral, circumradius r0 / 2**n."""
-    if not 0 < 2 * r0 < math.inf:  # every vertex coordinate is below 1.5*r0
-        raise ValueError(f"circumradius must be positive with 2*r0 finite, got {r0}")
+    r0 = _scale(r0, "circumradius", "r0")
     c = centroid(word, r0 / 2.0)
     r = r0 / (2 ** len(word))
     flip = 1.0 if is_upward(word) else -1.0

@@ -29,10 +29,11 @@ and floats, in arrays or not, raise ValueError instead of wrapping or
 truncating; the stray-bit check is one OR reduction per input, so it holds
 no array of the batch's size.
 
-This is the one module besides `floretion.bench` that imports numpy at
-its top.  `floretion.algebra` imports it on the first `Element` product
-and the package on first access to `floretion.packed`, `packed_mul_many`
-or `packed_identity`, so importing `floretion` loads no numpy.
+This module, `floretion.kernels` and `floretion.bench` import numpy at
+their top.  `floretion.kernels`, which imports this module, loads on the
+first `Element` product, and the package loads this module on first access
+to `floretion.packed`, `packed_mul_many` or `packed_identity`, so importing
+`floretion` loads no numpy.
 """
 
 from __future__ import annotations

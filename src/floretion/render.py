@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Real
 from typing import Mapping
 
-from .geometry import _VERTEX_ORDER, DEFAULT_R0, UNIT_VECTOR
+from .geometry import _VERTEX_ORDER, DEFAULT_R0, UNIT_VECTOR, _scale
 from .words import _non_integer, format_word
 
 #: Depth cap for rendering; 4**8 polygons is already a ~10 MB file.
@@ -64,16 +63,11 @@ class _FmtMemo(dict):
 
 def _check_limits(n: int, r0: float) -> float:
     """ValueError unless `render_tiling` takes depth n and circumradius r0;
-    returns r0 as the float the tiling is drawn from."""
+    returns r0 as the float the tiling is drawn from (the viewBox spans
+    about 1.83*r0)."""
     if _non_integer(n) or not 1 <= n <= RENDER_MAX_DEPTH:
         raise ValueError(f"render depth must be in 1..{RENDER_MAX_DEPTH}, got {n}")
-    try:
-        r = float(r0) if isinstance(r0, Real) and type(r0) is not bool else math.nan
-    except OverflowError:
-        r = math.inf
-    if not 0 < 2 * r < math.inf:  # the viewBox spans about 1.83*r0
-        raise ValueError(f"circumradius must be positive with 2*r0 finite, got {r0}")
-    return r
+    return _scale(r0, "circumradius", "r0")
 
 
 @lru_cache(maxsize=2)

@@ -18,13 +18,6 @@ acts by an integer matrix, so by Gauss's lemma its streams follow integral
 rules; `extend` then keeps the terms as integers over one fixed denominator
 and that gcd is against a small number.
 
-Those head powers need no `Element` product while x is sparse: right
-multiplication by x maps each basis word to +- one word of the span that
-supp(x) generates, so `algebra._power_coeffs` steps one integer vector
-over that span per power, with one `packed_mul_many` call for the whole
-head.  It runs while |span| * |x| <= `packed._BLOCK_PAIRS`; a denser x
-takes Element products, where dense operands run on the matrix path.
-
 Two small order-two constructions are packaged because their streams hit
 classical sequences: one whose tracked coefficients obey the Fibonacci
 rule (halved), and one that follows the Padovan rule a(m+3) = a(m+1) + a(m).
@@ -41,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Sequence
 
-from .algebra import Element, _fraction, _power_coeffs
+from .algebra import Element, _fraction, _numerators
 from .words import _non_integer, parse_word
 
 
@@ -51,7 +44,7 @@ def coeff_stream(
     """Coefficients of `word` in x**1 .. x**m_max, exactly.
 
     The first min(m_max, 2D + 2) terms come from powers, D = 2**x.order:
-    from `_power_coeffs` while |span of supp(x)| * |x| is at most
+    from `kernels.power_numerators` while |span of supp(x)| * |x| is at most
     `packed._BLOCK_PAIRS`, else from Element products.  Later terms follow
     the recurrence `find_recurrence` finds in them, which is proved for
     every m because D bounds the stream's order.
@@ -65,7 +58,14 @@ def coeff_stream(
     w = parse_word(word, x.order)
     degree = 2**x.order
     count = min(m_max, 2 * degree + 2)
-    head = _power_coeffs(x, w, count)
+    if not x.terms:
+        head = [Fraction(0)] * count
+    else:
+        from . import kernels
+
+        form = _numerators(x)
+        nums = kernels.power_numerators(form, x.order, w, count)
+        head = None if nums is None else [_fraction(p, form[2] ** m) for m, p in enumerate(nums, 1)]
     if head is None:
         head, acc = [x.terms.get(w, Fraction(0))], x
         for _ in range(1, count):

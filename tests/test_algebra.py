@@ -1,7 +1,9 @@
 """Exact element arithmetic, conjugation, parity, exponential, JSON."""
 
+import ast
 import copy
 import functools
+import inspect
 import json
 import math
 import pickle
@@ -12,7 +14,7 @@ from itertools import chain
 
 import pytest
 
-from floretion import algebra
+from floretion import algebra, kernels
 from floretion.algebra import (
     Element,
     element_from_json,
@@ -287,7 +289,7 @@ def test_result_words_come_from_the_word_table(monkeypatch):
     from floretion import packed
 
     for n in range(1, 8):
-        assert algebra._word_table(n) == packed.unpack_words(list(range(4**n)), n)
+        assert kernels._word_table(n) == packed.unpack_words(list(range(4**n)), n)
     real, calls = packed.unpack_words, []
     monkeypatch.setattr(packed, "unpack_words", lambda keys, n: calls.append(n) or real(keys, n))
     rng = random.Random(88)
@@ -313,13 +315,13 @@ def test_sparse_sums_sort_each_pair_once(n, monkeypatch):
     # sums, then one sort sums them all in: 128 x 1024 terms are 8 blocks and
     # several folds, in int64 and, with numerators near 2**40 and 2**20, in
     # Python ints; each pair is pending in exactly one fold
-    real, folds = algebra._sum_by_key, []
+    real, folds = kernels._sum_by_key, []
 
     def spy(blocks):
         folds.append((sum(len(k) for k, _ in blocks[1:]), blocks[-1][1].dtype))
         return real(blocks)
 
-    monkeypatch.setattr(algebra, "_sum_by_key", spy)
+    monkeypatch.setattr(kernels, "_sum_by_key", spy)
     rng = random.Random(n)
 
     def sample(k, coeff=lambda: rng.choice((-1, 1)) * random_fraction(rng, 1, 9, _MIXED)):
@@ -348,7 +350,7 @@ def _matrix_mul(x, y):
     dispatch rule of `Element.__mul__` would choose."""
     n = x.order
     (xs, xnum, xden, _), (ys, ynum, yden, _) = algebra._numerators(x), algebra._numerators(y)
-    sums = algebra._matrix_sums(xs, xnum, ys, ynum, n)
+    sums = kernels._matrix_sums(xs, xnum, ys, ynum, n)
     words = [unpack_word(v, n) for v in range(4**n)]
     return Element(n, zip(words, (Fraction(s, xden * yden) for s in sums.tolist())))
 
@@ -375,14 +377,14 @@ def test_matrix_path_matches_reference():
 def test_matrix_path_refuses_inexact_sums(monkeypatch):
     # a decoded sum off a multiple of 2**m, or (odd order) a term outside the
     # words whose padded top lane is 7, raises instead of being rounded
-    real = algebra._from_matrix
+    real = kernels._from_matrix
     for n, index, bump in ((4, -1, 1), (3, -1, 1), (3, 0, 2**4)):
         def corrupted(z, m, index=index, bump=bump):
             sums = real(z, m)
             sums[index] += bump
             return sums
 
-        monkeypatch.setattr(algebra, "_from_matrix", corrupted)
+        monkeypatch.setattr(kernels, "_from_matrix", corrupted)
         x = Element(n, {"1" * n: 1, "7" * n: 2})
         with pytest.raises(ArithmeticError):
             _matrix_mul(x, x)
@@ -390,8 +392,8 @@ def test_matrix_path_refuses_inexact_sums(monkeypatch):
 
 def _count_matrix_calls(monkeypatch) -> list:
     calls = []
-    real = algebra._matrix_sums
-    monkeypatch.setattr(algebra, "_matrix_sums", lambda *args: calls.append(args[-1]) or real(*args))
+    real = kernels._matrix_sums
+    monkeypatch.setattr(kernels, "_matrix_sums", lambda *args: calls.append(args[-1]) or real(*args))
     return calls
 
 
@@ -410,12 +412,30 @@ def test_matrix_path_float64_bound(monkeypatch):
             del calls[:]
             _assert_mul_exact(x, y)
             assert calls == ([n] if matrix else [])
-    # one term pair fewer than 16 * 4**m stays on the packed path
-    x = Element(4, dict.fromkeys(list(all_words(4))[:64], 1))
-    y = Element(4, dict.fromkeys(list(all_words(4))[:63], 1))
-    del calls[:]
-    _assert_mul_exact(x, y)
-    assert calls == []
+    # one term pair fewer than 16 * 4**m stays on the packed path, at order 4
+    # and at order 3, padded to m = 4; at order 2, no matrix order, so does a
+    # dense square of 16 * 4**2 pairs
+    for n, xterms, yterms, matrix in ((4, 64, 63, False), (3, 64, 64, True), (3, 64, 63, False), (2, 16, 16, False)):
+        words = list(all_words(n))
+        x, y = Element(n, dict.fromkeys(words[:xterms], 1)), Element(n, dict.fromkeys(words[:yterms], 1))
+        del calls[:]
+        _assert_mul_exact(x, y)
+        assert calls == ([n] if matrix else [])
+
+
+def test_element_layer_holds_no_numpy():
+    # `algebra` neither imports nor names numpy or `packed`; the kernels
+    # import nothing from `algebra`
+    def bound(module):
+        tree = ast.parse(inspect.getsource(module))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {getattr(node, "module", None)} | {a.name for a in node.names} | {a.asname for a in node.names}
+        return names
+
+    assert not {"np", "numpy", "packed"} & (bound(algebra) | set(vars(algebra)))
+    assert "algebra" not in bound(kernels)
 
 
 def test_matrix_and_packed_paths_give_identical_json(monkeypatch):
@@ -438,12 +458,12 @@ def test_matrix_and_packed_paths_give_identical_json(monkeypatch):
         if n <= 6:
             cases.append(sigma_sums(("12" * n)[:n]))
         for a, b in cases:
-            monkeypatch.setattr(algebra, "_MATRIX_ORDERS", range(2, 11, 2))
-            monkeypatch.setattr(algebra, "_MATRIX_PAIRS_PER_ENTRY", 0)
+            monkeypatch.setattr(kernels, "_MATRIX_ORDERS", range(2, 11, 2))
+            monkeypatch.setattr(kernels, "_MATRIX_PAIRS_PER_ENTRY", 0)
             del calls[:]
             via_matrix = element_to_json(a * b)
             assert calls == [n]
-            monkeypatch.setattr(algebra, "_MATRIX_ORDERS", ())
+            monkeypatch.setattr(kernels, "_MATRIX_ORDERS", ())
             assert element_to_json(a * b) == via_matrix
 
 
@@ -570,7 +590,7 @@ def test_packed_cache_equals_recomputation(monkeypatch):
             assert power == functools.reduce(reference_mul, [small] * m)
         # the head kernel reads the form `_numerators` built on a product
         w = random_word(rng, n)
-        assert algebra._power_coeffs(square, w, 6) == algebra._power_coeffs(Element(n, square.terms), w, 6)
+        assert coeff_stream(square, w, 6) == coeff_stream(Element(n, square.terms), w, 6)
         # every Element, products included, leaves the slot empty until `_numerators` runs
         built = (Element(n, x.terms), Element._canonical(n, x.terms), x + y, x - y, -x, x.scaled(F(2, 3)),
                  x.conjugate(), *x.parity_split(), Element.zero(n) * x, x * y, dense * x, small**3)

@@ -589,8 +589,9 @@ def test_entry_sets_one_blas_thread_unless_set():
 
 #: Runs `cli.main` on each (argv, stdin) of the JSON list in argv[2] and
 #: prints [exit code, stdout] per call, or ["ImportError", ""] when the call
-#: tried to import a blocked module.  With argv[1] == "block", importing
-#: numpy raises ImportError, and the child ends by asserting numpy is unloaded.
+#: tried to import a blocked module, then which of numpy and
+#: `floretion.kernels` are loaded.  With argv[1] == "block", importing
+#: numpy raises ImportError.
 _CLI_CHILD = """
 import contextlib, io, json, sys
 
@@ -616,14 +617,15 @@ def run(argv, stdin):
     return [code, out.getvalue()]
 
 print(json.dumps([run(argv, stdin) for argv, stdin in json.loads(sys.argv[2])]))
-assert not block or "numpy" not in sys.modules, "numpy imported"
+print(json.dumps(sorted({"numpy", "floretion.kernels"} & set(sys.modules))))
 """
 
 
 def _cli_child(mode, cases):
     r = subprocess.run([sys.executable, "-c", _CLI_CHILD, mode, json.dumps(cases)], capture_output=True, text=True, env=_ENV)
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout)
+    runs, loaded = r.stdout.splitlines()
+    return json.loads(runs), json.loads(loaded)
 
 
 #: Commands that multiply no Element, the last four being the malformed
@@ -655,8 +657,9 @@ _NUMPY_FREE = [
 
 
 def test_numpy_free_commands_never_import_numpy():
-    blocked = _cli_child("block", _NUMPY_FREE)
-    assert blocked == _cli_child("allow", _NUMPY_FREE)
+    blocked, loaded = _cli_child("block", _NUMPY_FREE)
+    # with numpy allowed too, they leave it and the kernels unloaded
+    assert _cli_child("allow", _NUMPY_FREE) == (blocked, loaded) and loaded == []
     assert [code for code, _ in blocked] == [0] * 18 + [2] * 4
     assert blocked[0][1] == "-kjj\n" and blocked[5][1] == "plus 16384\nminus 16384\ntotal 32768\n"
     assert blocked[8][1] == _SMALL_ELEMENT + "\n" and blocked[9][1] == "1/2\n"
@@ -670,8 +673,9 @@ def test_product_commands_import_numpy():
         (["pow", "-", "-m", "2"], _SMALL_ELEMENT),
         (["seq", "--preset", "padovan", "--word", "ik", "--mmax", "12"], None),
     ]
-    assert _cli_child("block", cases) == [["ImportError", ""]] * 2
-    assert [code for code, _ in _cli_child("allow", cases)] == [0] * 2
+    assert _cli_child("block", cases) == ([["ImportError", ""]] * 2, [])
+    runs, loaded = _cli_child("allow", cases)
+    assert [code for code, _ in runs] == [0] * 2 and loaded == ["floretion.kernels", "numpy"]
 
 
 def test_bench_json_record(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,8 @@ from floretion.geometry import (
     is_upward,
     tile_polygon,
 )
-from floretion.symmetry import ALL_PERMS, ROTATE, SWAP_24, apply_perm_word
+from floretion.render import render_tiling
+from floretion.symmetry import ALL_PERMS, ROTATE, SWAP_24, apply_perm_word, cyclic_orbit_points
 from floretion.words import all_words, parse_word
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -66,6 +68,25 @@ def test_centroid_rejects_bad_scale():
             centroid("12", d1)
         with pytest.raises(ValueError):
             tile_polygon("12", d1)
+
+
+_SCALED = {
+    "render_tiling": lambda v: render_tiling(1, r0=v),
+    "centroid": lambda v: centroid("12", v),
+    "tile_polygon": lambda v: tile_polygon("12", v),
+    "cyclic_orbit_points": lambda v: cyclic_orbit_points("12", None, v),
+}
+
+
+@pytest.mark.parametrize("call", _SCALED.values(), ids=_SCALED)
+def test_scale_is_read_as_one_float(call):
+    # a real past the float range reads as +-inf and is refused in one line,
+    # which never formats it with str (that raises past 4300 digits); a bool
+    # or a non-real is refused, a numpy float is a real
+    assert call(np.float64(0.5)) == call(0.5)
+    for v in (10**400, 10**5000, -(10**5000), Fraction(10**5000, 3), True, "1", math.nan):
+        with pytest.raises(ValueError, match=r"^(circumradius|step scale) must be positive with 2\*(r0|d1) finite, got [^\n]*$"):
+            call(v)
 
 
 def test_no_cancellation():

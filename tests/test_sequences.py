@@ -358,7 +358,7 @@ def test_degree_bound_minimal_polynomial():
 def _stream_cases(rng):
     """(element, word) pairs: seeded random elements of orders 1-3 and a few
     of order 4, both presets on every word, seeded rational Fibonacci seeds,
-    then edge cases of `_power_coeffs`."""
+    then edge cases of the span kernel `kernels.power_numerators`."""
     for n, count in ((1, 12), (2, 12), (3, 10), (4, 3)):
         for _ in range(count):
             x = random_element(rng, n, max_terms=rng.randint(1, 6))
