@@ -1,9 +1,9 @@
 """The numpy kernels of exact products, apart from the `Element` layer.
 
-Each takes integer forms (`integer_form`) and returns ints, lists and
-arrays; `floretion.algebra`, which loads this module on the first product
-and caches each Element's form, builds the `Fraction`s.  Nothing here
-imports `floretion.algebra`.
+Its entries, `integer_form`, `product_terms` and `power_numerators`, build
+or take integer forms and return ints, lists and arrays; `floretion.algebra`,
+which loads this module on the first product and caches each Element's
+form, builds the `Fraction`s.  Nothing here imports `floretion.algebra`.
 
 `product_terms` sums the signed numerator products per product word on one
 of two routes, chosen by one comparison (X = max|num x|, Y = max|num y|):
