@@ -678,6 +678,47 @@ def test_product_commands_import_numpy():
     assert [code for code, _ in runs] == [0] * 2 and loaded == ["floretion.kernels", "numpy"]
 
 
+def _fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter on the package the tests import."""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+_LOADED = "print(sorted({'numpy', 'floretion.kernels'} & set(sys.modules)))\n"
+
+
+def test_kernels_load_with_the_first_product():
+    # importing the package, a sum, a JSON round trip and a parity split load
+    # neither numpy nor `floretion.kernels`; the first product loads both
+    code = (
+        "import sys\n"
+        "import floretion as fl\n"
+        "x = fl.Element(2, {'12': 1, '47': '1/2'})\n"
+        "y = fl.element_from_json(fl.element_to_json(x + x))\n"
+        "even, odd = y.parity_split()\n" + _LOADED + "x * y\n" + _LOADED
+    )
+    assert _fresh(code) == "[]\n['floretion.kernels', 'numpy']\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "assert kernels._word_table(3) == packed.unpack_words(list(range(64)), 3)",
+        "assert kernels._block_matrices().shape == (16, 4, 4)",
+        # (i (x) j)**2 = 1: one sum, 1, at the word 77
+        "keys = packed.pack_words(['12'], 2)\n"
+        "assert kernels._matrix_sums(keys, [1], keys, [1], 2).tolist() == [0] * 15 + [1]",
+        "keys, sums = kernels._sum_by_key([(np.array([5, 2, 5], dtype=np.uint64), np.array([1, 2, 3]))])\n"
+        "assert (keys.tolist(), sums.tolist()) == ([2, 5], [2, 4])",
+    ],
+    ids=["word_table", "block_matrices", "matrix_sums", "sum_by_key"],
+)
+def test_kernels_need_no_product_first(call):
+    # each kernel works as the first call in a fresh process
+    assert _fresh("import numpy as np\nfrom floretion import kernels, packed\n" + call + "\nprint('ok')") == "ok\n"
+
+
 def test_bench_json_record(tmp_path):
     from floretion.bench import SEED
     from floretion.words import unpack_word

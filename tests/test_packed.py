@@ -1,12 +1,8 @@
 """Packed lane encoding and the bit-parallel kernel against the digitwise
 reference."""
 
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,46 +389,3 @@ def test_public_api_unchanged_by_lazy_numpy():
     assert unpack_word(packed_identity(3), 3) == "777"
     with pytest.raises(AttributeError, match="no attribute 'packed_words'"):
         floretion.packed_words
-
-
-def _fresh(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter on the package the tests import."""
-    src = str(Path(floretion.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    return r.stdout
-
-
-_LOADED = "print(sorted({'numpy', 'floretion.kernels'} & set(sys.modules)))\n"
-
-
-def test_kernels_load_with_the_first_product():
-    # importing the package, a sum, a JSON round trip and a parity split load
-    # neither numpy nor `floretion.kernels`; the first product loads both
-    code = (
-        "import sys\n"
-        "import floretion as fl\n"
-        "x = fl.Element(2, {'12': 1, '47': '1/2'})\n"
-        "y = fl.element_from_json(fl.element_to_json(x + x))\n"
-        "even, odd = y.parity_split()\n" + _LOADED + "x * y\n" + _LOADED
-    )
-    assert _fresh(code) == "[]\n['floretion.kernels', 'numpy']\n"
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        "assert kernels._word_table(3) == packed.unpack_words(list(range(64)), 3)",
-        "assert kernels._block_matrices().shape == (16, 4, 4)",
-        # (i (x) j)**2 = 1: one sum, 1, at the word 77
-        "keys = packed.pack_words(['12'], 2)\n"
-        "assert kernels._matrix_sums(keys, [1], keys, [1], 2).tolist() == [0] * 15 + [1]",
-        "keys, sums = kernels._sum_by_key([(np.array([5, 2, 5], dtype=np.uint64), np.array([1, 2, 3]))])\n"
-        "assert (keys.tolist(), sums.tolist()) == ([2, 5], [2, 4])",
-    ],
-    ids=["word_table", "block_matrices", "matrix_sums", "sum_by_key"],
-)
-def test_kernels_need_no_product_first(call):
-    # each kernel works as the first call in a fresh process
-    assert _fresh("import numpy as np\nfrom floretion import kernels, packed\n" + call + "\nprint('ok')") == "ok\n"
